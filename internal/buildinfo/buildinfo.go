@@ -1,9 +1,6 @@
 // Package buildinfo reports the binary's build identity — module
 // version, VCS revision, and Go toolchain — via
-// runtime/debug.ReadBuildInfo. Every tool's -version flag prints it,
-// and the shard network transport exchanges the revision string in
-// its handshake so a version-mismatch error can name both binaries
-// precisely instead of "something differs".
+// runtime/debug.ReadBuildInfo. Every tool's -version flag prints it.
 package buildinfo
 
 import (

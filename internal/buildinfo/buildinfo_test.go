@@ -16,8 +16,8 @@ func TestBuildInfoNeverEmpty(t *testing.T) {
 }
 
 func TestStringCarriesToolAndToolchain(t *testing.T) {
-	s := String("mtworkd")
-	for _, want := range []string{"mtworkd", Revision(), runtime.Version()} {
+	s := String("mtexp")
+	for _, want := range []string{"mtexp", Revision(), runtime.Version()} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q, missing %q", s, want)
 		}

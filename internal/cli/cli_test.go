@@ -251,3 +251,22 @@ func TestExpWorkersFlag(t *testing.T) {
 		t.Error("mtexp -j changed the rendered experiment output")
 	}
 }
+
+// TestVersionFlagAllTools: every tool prints its build identity and
+// exits cleanly.
+func TestVersionFlagAllTools(t *testing.T) {
+	for name, run := range map[string]func([]string, *bytes.Buffer) error{
+		"mtexp":  func(a []string, b *bytes.Buffer) error { return Exp(a, b) },
+		"mtsim":  func(a []string, b *bytes.Buffer) error { return Sim(a, b) },
+		"mtsize": func(a []string, b *bytes.Buffer) error { return Size(a, b) },
+		"mtlint": func(a []string, b *bytes.Buffer) error { return Lint(a, b) },
+	} {
+		var buf bytes.Buffer
+		if err := run([]string{"-version"}, &buf); err != nil {
+			t.Fatalf("%s -version: %v", name, err)
+		}
+		if !strings.Contains(buf.String(), name+" ") || !strings.Contains(buf.String(), "rev ") {
+			t.Fatalf("%s -version output %q missing tool name or revision", name, buf.String())
+		}
+	}
+}

@@ -87,6 +87,36 @@ func TestSimCancelledExitCode(t *testing.T) {
 	}
 }
 
+// TestSimSweepCancelledExitCode: a -wl sweep under an already-cancelled
+// context fails as a cancellation (exit 5), not a generic error.
+func TestSimSweepCancelledExitCode(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var buf bytes.Buffer
+	err := SimContext(ctx, []string{"-circuit", "tree", "-wl", "0,2,4"}, &buf)
+	if !errors.Is(err, simerr.ErrCancelled) {
+		t.Fatalf("want ErrCancelled, got %v", err)
+	}
+	if ExitCode(err) != ExitCancelled {
+		t.Errorf("exit code = %d, want %d", ExitCode(err), ExitCancelled)
+	}
+}
+
+// TestExpTimeoutExitsBudget: -timeout reaches the fig14 vector grid and
+// classifies the overrun as a budget failure (exit 4). The grid is the
+// paper's 4,096-pair one: it outlasts the scheduler's preemption slice,
+// so the deadline fires mid-grid even when every CPU runs a worker.
+func TestExpTimeoutExitsBudget(t *testing.T) {
+	var buf bytes.Buffer
+	err := Exp([]string{"-e", "fig14", "-fast", "-timeout", "1ms"}, &buf)
+	if !errors.Is(err, simerr.ErrBudget) {
+		t.Fatalf("want ErrBudget, got %v", err)
+	}
+	if ExitCode(err) != ExitBudget {
+		t.Errorf("exit code = %d, want %d", ExitCode(err), ExitBudget)
+	}
+}
+
 // TestSizeDegradesInsteadOfAborting is the headline resilience check
 // for mtsize: when every delay simulation is killed mid-run by a tiny
 // event budget, the tool must not abort — it completes with the

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 
 	"mtcmos"
 	"mtcmos/internal/lint"
-	"mtcmos/internal/shard"
 )
 
 // Sim implements the mtsim command: simulate one input-vector
@@ -48,11 +46,6 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		nolint  = fs.Bool("nolint", false, "skip the pre-simulation lint pass (mtlint rules)")
 		timeout = fs.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited; overruns exit 4)")
 		maxStep = fs.Int("max-steps", 0, "cap accepted timesteps (spice) / events (vbs); 0 = unlimited, overruns exit 4")
-		shards  = fs.Int("shards", 0, "split a -wl sweep over N shards on worker subprocesses (0 = in-process); output is identical for any value")
-		resume  = fs.String("resume", "", "checkpoint a sharded sweep to this journal and resume from it if it exists (implies sharded execution)")
-		hosts   = fs.String("hosts", "", "run sweep shards on remote mtworkd daemons: comma-separated host:port list, or @file with one per line (implies sharded execution); output is identical to a local run")
-		authF   = fs.String("auth", os.Getenv("MTWORKD_AUTH"), "shared secret for -hosts daemons started with mtworkd -auth (default $MTWORKD_AUTH)")
-		worker  = fs.Bool("worker", false, "run as a shard worker subprocess (internal; speaks the shard protocol on stdin/stdout)")
 		solverF = fs.String("solver", "auto", "reference-engine equation solver: auto | dense | sparse (spice engine and -netlist runs)")
 		version = versionFlag(fs)
 		profF   = addProfileFlags(fs)
@@ -63,9 +56,6 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	if *version {
 		printVersion(w, "mtsim")
 		return nil
-	}
-	if *worker {
-		return shard.ServeWorker(ctx, os.Stdin, w)
 	}
 	solver, err := mtcmos.ParseSolver(*solverF)
 	if err != nil {
@@ -108,31 +98,13 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		if *engine != "vbs" {
 			return fmt.Errorf("-wl sweeps support the vbs engine only (got %q)", *engine)
 		}
-		p := sweepTaskParams{
-			Circuit: *circ, Bits: *bits, Old: *oldV, New: *newV,
-			Cx: *cx, WLs: wls, Rev: *rev, NoBody: *nobody,
-			MaxStep: *maxStep, Workers: *jobs,
-		}
-		var runner *shard.Runner
-		if *shards > 0 || *resume != "" || *hosts != "" {
-			opts := shard.Options{
-				Shards:  *shards,
-				Procs:   *jobs,
-				Spawn:   shard.SelfSpawner("-worker"),
-				Journal: *resume,
-			}
-			if *hosts != "" {
-				opts.Transport, err = hostsTransport(*hosts, *authF)
-				if err != nil {
-					return err
-				}
-			}
-			runner = &shard.Runner{Opts: opts}
-			// The worker pool is the parallelism; each worker computes
-			// its shard serially.
-			p.Workers = 1
-		}
-		return runSweep(ctx, w, p, runner)
+		return runSweep(w, c, stim, outs, wls, mtcmos.BatchOptions{
+			Workers: *jobs,
+			Sim: mtcmos.SwitchOptions{
+				ReverseConduction: *rev, NoBodyEffect: *nobody,
+				Ctx: ctx, MaxEvents: *maxStep,
+			},
+		})
 	}
 
 	switch *engine {
@@ -197,56 +169,19 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	}
 }
 
-// sweepTaskParams configures the cli.sweep shard task: everything a
-// worker subprocess needs to rebuild the circuit and compute a slice
-// of the -wl sweep.
-type sweepTaskParams struct {
-	Circuit string    `json:"circuit"`
-	Bits    int       `json:"bits"`
-	Old     string    `json:"old"`
-	New     string    `json:"new"`
-	Cx      float64   `json:"cx"`
-	WLs     []float64 `json:"wls"`
-	Rev     bool      `json:"rev"`
-	NoBody  bool      `json:"nobody"`
-	MaxStep int       `json:"maxstep"`
-	Workers int       `json:"workers"`
-}
-
-func init() {
-	shard.Register("cli.sweep", sweepTask)
-}
-
-// sweepTask computes one slice of a -wl sweep; each item is the
-// formatted table row for one sleep size, so the merged table is
-// byte-identical however the sweep was partitioned.
-func sweepTask(ctx context.Context, params json.RawMessage, start, count int) ([]json.RawMessage, error) {
-	var p sweepTaskParams
-	if err := json.Unmarshal(params, &p); err != nil {
-		return nil, err
-	}
-	c, stim, outs, err := buildCircuit(p.Circuit, p.Bits, p.Old, p.New)
-	if err != nil {
-		return nil, err
-	}
-	c.SleepWL = p.WLs[0]
-	c.VGndCap = p.Cx
+// runSweep runs one stimulus across several sleep sizes on one
+// compiled engine and prints a per-size summary table. Rows come back
+// in W/L order, so the table is identical at any worker count.
+func runSweep(w io.Writer, c *mtcmos.Circuit, stim mtcmos.Stimulus, outs []string, wls []float64, opts mtcmos.BatchOptions) error {
 	cp, err := mtcmos.CompileCircuit(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	slice := p.WLs[start : start+count]
-	results, err := mtcmos.SimulateSweep(cp, slice, stim, mtcmos.BatchOptions{
-		Workers: p.Workers,
-		Sim: mtcmos.SwitchOptions{
-			ReverseConduction: p.Rev, NoBodyEffect: p.NoBody,
-			Ctx: ctx, MaxEvents: p.MaxStep,
-		},
-	})
+	results, err := mtcmos.SimulateSweep(cp, wls, stim, opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	items := make([]json.RawMessage, len(results))
+	tb := &mtcmos.Table{Title: "Switch-level sleep-size sweep", Columns: []string{"W/L", "worst_delay_ns", "worst_net", "peakVx_mV", "events"}}
 	for i, res := range results {
 		worst, worstNet := 0.0, "-"
 		for _, n := range outs {
@@ -254,50 +189,9 @@ func sweepTask(ctx context.Context, params json.RawMessage, start, count int) ([
 				worst, worstNet = d, n
 			}
 		}
-		row := fmt.Sprintf("%g\t%.4g\t%s\t%.1f\t%d", slice[i], worst*1e9, worstNet, res.PeakVx*1e3, res.Events)
-		if items[i], err = json.Marshal(row); err != nil {
-			return nil, err
-		}
-	}
-	return items, nil
-}
-
-// runSweep runs one stimulus across several sleep sizes and prints a
-// per-size summary table. The sweep always goes through the shard
-// executor's single code path — in-process as one shard by default,
-// over worker subprocesses when a runner is configured — which is
-// what makes sharded and serial output trivially identical.
-func runSweep(ctx context.Context, w io.Writer, p sweepTaskParams, runner *shard.Runner) error {
-	var res *shard.Result
-	var err error
-	if runner != nil {
-		res, err = runner.Run(ctx, "cli.sweep", p, len(p.WLs))
-	} else {
-		res, err = shard.Run(ctx, "cli.sweep", p, len(p.WLs), shard.Options{Shards: 1, Procs: 1})
-	}
-	if err != nil {
-		return err
-	}
-	tb := &mtcmos.Table{Title: "Switch-level sleep-size sweep", Columns: []string{"W/L", "worst_delay_ns", "worst_net", "peakVx_mV", "events"}}
-	quarantined := 0
-	for i, raw := range res.Items {
-		if raw == nil {
-			// The shard covering this size was quarantined: degrade to
-			// a marked row instead of failing the sweep.
-			quarantined++
-			tb.Addf("%g\tquarantined\t-\t-\t-", p.WLs[i])
-			continue
-		}
-		var row string
-		if err := json.Unmarshal(raw, &row); err != nil {
-			return err
-		}
-		tb.AddRow(strings.Split(row, "\t")...)
+		tb.Addf("%g\t%.4g\t%s\t%.1f\t%d", wls[i], worst*1e9, worstNet, res.PeakVx*1e3, res.Events)
 	}
 	fmt.Fprintln(w, tb.String())
-	if quarantined > 0 {
-		fmt.Fprintf(w, "note: %d sweep points skipped (quarantined shards; see -resume to retry)\n", quarantined)
-	}
 	return nil
 }
 

@@ -6,34 +6,13 @@ import (
 	"io"
 
 	"mtcmos/internal/buildinfo"
-	"mtcmos/internal/shard"
-	shardnet "mtcmos/internal/shard/net"
 )
 
-// versionFlag registers the -version flag every tool carries; the
-// printed revision is the same string the shard network transport
-// exchanges in its handshake, so a cluster version mismatch can be
-// checked by eye with `mtexp -version` / `mtworkd -version`.
+// versionFlag registers the -version flag every tool carries.
 func versionFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("version", false, "print build identity (version, VCS revision, toolchain) and exit")
 }
 
 func printVersion(w io.Writer, tool string) {
 	fmt.Fprintln(w, buildinfo.String(tool))
-}
-
-// hostsTransport resolves the -hosts/-auth flag pair into the shard
-// network transport. spec is a comma-separated host:port list or
-// "@file" (see shardnet.ParseHosts); callers pass it only when
-// non-empty.
-func hostsTransport(spec, auth string) (shard.Transport, error) {
-	hosts, err := shardnet.ParseHosts(spec)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errUsage, err)
-	}
-	tr, err := shardnet.NewTransport(hosts, shardnet.Config{Auth: auth})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errUsage, err)
-	}
-	return tr, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -133,38 +132,45 @@ func Fig14(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "fig14", Title: "Fig. 14: % degradation per vector, 3-bit adder, W/L=10"}
 	const wl = 10.0
-	space := adderSpace(cfg.AdderBits)
 
-	// Measure every ordered pair via the grid executor (the registered
-	// experiments.fig14 task): in-process by default, on the
-	// fault-tolerant multi-process shard executor when cfg.Shard is
-	// set. Items come back in pair order either way, so the collected
-	// candidate list — and everything downstream — is identical for
-	// any worker count, shard count, and across resume boundaries.
+	// Measure every ordered pair on one compiled engine. sched.Map
+	// returns items in pair order, so the collected candidate list —
+	// and everything downstream — is identical for any worker count.
 	type cand struct {
 		oa, ob, na, nb uint64
 		deg            float64
+		ok             bool // toggles S2 and has a measurable baseline delay
 	}
-	size := space.Size()
-	items, stats, err := cfg.runGrid("experiments.fig14",
-		fig14Params{Bits: cfg.AdderBits, WL: wl, Workers: cfg.gridWorkers()}, int(size*size))
+	ad := paperAdder(cfg.AdderBits)
+	outs := outputNames(ad.Circuit)
+	s2 := fmt.Sprintf("s%d", cfg.AdderBits-1)
+	cp, err := core.Compile(ad.Circuit)
+	if err != nil {
+		return nil, err
+	}
+	size := adderSpace(cfg.AdderBits).Size()
+	half := uint64(1) << uint(cfg.AdderBits)
+	items, err := sched.Map(cfg.Ctx, cfg.Workers, int(size*size), func(k int) (cand, error) {
+		o, w := uint64(k)/size, uint64(k)%size
+		c := cand{oa: o % half, ob: o / half, na: w % half, nb: w / half}
+		ov, _ := ad.Evaluate(ad.Inputs(c.oa, c.ob, false))
+		nv, _ := ad.Evaluate(ad.Inputs(c.na, c.nb, false))
+		if ov[s2] == nv[s2] {
+			return c, nil
+		}
+		var err error
+		c.deg, c.ok, err = degVBS(cfg, cp, adderStim(ad, c.oa, c.ob, c.na, c.nb), wl, outs)
+		return c, err
+	})
 	if err != nil {
 		return nil, err
 	}
 	var cands []cand
-	for _, raw := range items {
-		if raw == nil {
-			continue // quarantined shard: vectors skipped, noted below
-		}
-		var it fig14Item
-		if err := json.Unmarshal(raw, &it); err != nil {
-			return nil, err
-		}
-		if it.Ok {
-			cands = append(cands, cand{it.Oa, it.Ob, it.Na, it.Nb, it.Deg})
+	for _, c := range items {
+		if c.ok {
+			cands = append(cands, c)
 		}
 	}
-	out.noteQuarantine(stats, "vector pairs")
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].deg > cands[j].deg })
 
 	s := report.NewSeries(fmt.Sprintf("%% degradation due to MTCMOS (W/L=%g), %d S2-toggling vectors, sorted", wl, len(cands)),
@@ -243,16 +249,21 @@ func Speedup(cfg Config) (*Output, error) {
 	space := adderSpace(cfg.AdderBits)
 	half := uint64(1) << uint(cfg.AdderBits)
 
-	// The exhaustive sweep runs through the grid executor (the
-	// registered experiments.speedup task) — in-process by default,
-	// sharded over worker subprocesses when cfg.Shard is set; the
-	// wall-clock total is what a user of the tool sees at the
-	// configured worker count, including any spawn/retry overhead.
+	// The wall-clock total covers compiling the engine and the full
+	// sweep at the configured worker count: what a user of the tool
+	// sees.
 	size := space.Size()
 	n := int(size * size)
 	start := time.Now()
-	_, stats, err := cfg.runGrid("experiments.speedup",
-		sweepParams{Bits: cfg.AdderBits, WL: ad.SleepWL, Workers: cfg.gridWorkers()}, n)
+	cp, err := core.Compile(ad.Circuit)
+	if err != nil {
+		return nil, err
+	}
+	_, err = sched.Map(cfg.Ctx, cfg.Workers, n, func(k int) (struct{}, error) {
+		o, w := uint64(k)/size, uint64(k)%size
+		_, err := cp.Run(adderStim(ad, o%half, o/half, w%half, w/half), cfg.simOpts(core.Options{}))
+		return struct{}{}, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -260,13 +271,8 @@ func Speedup(cfg Config) (*Output, error) {
 
 	tb := report.NewTable("Runtime for the exhaustive adder sweep",
 		"tool", "vectors", "total", "per-vector", "speedup")
-	label := fmt.Sprintf("switch-level (measured, %d workers)", sched.Workers(cfg.Workers))
-	if cfg.Shard.Multiprocess() {
-		label = fmt.Sprintf("switch-level (measured, %d worker processes)", stats.Procs)
-	}
-	tb.AddRow(label, fmt.Sprint(n), vbsTotal.String(),
-		(vbsTotal / time.Duration(n)).String(), "1x")
-	out.noteQuarantine(stats, "vectors")
+	tb.AddRow(fmt.Sprintf("switch-level (measured, %d workers)", sched.Workers(cfg.Workers)),
+		fmt.Sprint(n), vbsTotal.String(), (vbsTotal / time.Duration(n)).String(), "1x")
 
 	if !cfg.Fast {
 		k := cfg.SpiceVectors

@@ -15,7 +15,6 @@ import (
 	"mtcmos/internal/core"
 	"mtcmos/internal/mosfet"
 	"mtcmos/internal/report"
-	"mtcmos/internal/shard"
 	"mtcmos/internal/spice"
 )
 
@@ -62,16 +61,6 @@ type Config struct {
 	// output is byte-identical across solver choices; -solver on
 	// cmd/mtexp sets this.
 	Solver spice.Solver
-
-	// Shard, when non-nil, runs the big vector grids (Fig. 14, the
-	// speedup sweep) on the fault-tolerant multi-process executor
-	// (internal/shard): worker subprocesses with heartbeats, retry,
-	// quarantine, and checkpoint/resume. Output stays byte-identical
-	// to in-process execution; a quarantined shard degrades to skipped
-	// vectors plus a note instead of failing the experiment (DESIGN.md
-	// §12). nil runs everything in-process as before; -shards N on
-	// cmd/mtexp sets this.
-	Shard *shard.Runner
 }
 
 // simOpts threads the run context into simulator options.

@@ -80,7 +80,8 @@ func Refine(cfg Config) (*Output, error) {
 	tb := report.NewTable("Bound ladder (W/L units)",
 		"circuit", "gates", "simulated", "refined", "static level", "sum-of-widths", "proven excl", "refinement")
 	tightened := 0
-	for _, b := range benches {
+	proofs := make([]*sca.ExclusionStats, len(benches))
+	for i, b := range benches {
 		st, err := sizing.StaticLevel(b.c, sizing.Refine(sca.ExclConfig{Workers: cfg.Workers}))
 		if err != nil {
 			return nil, fmt.Errorf("refine: %s: %w", b.name, err)
@@ -90,6 +91,7 @@ func Refine(cfg Config) (*Output, error) {
 			return nil, fmt.Errorf("refine: %s: %w", b.name, err)
 		}
 		ex := st.Exclusions
+		proofs[i] = ex
 		if !(sim <= st.Refined && st.Refined <= st.WL && st.WL <= st.SumOfWidths) {
 			return nil, fmt.Errorf("refine: %s violates the bound ladder: simulated %.1f, refined %.1f, static %.1f, sum %.1f",
 				b.name, sim, st.Refined, st.WL, st.SumOfWidths)
@@ -113,12 +115,8 @@ func Refine(cfg Config) (*Output, error) {
 
 	t2 := report.NewTable("Exclusion-proof effort",
 		"circuit", "candidate pairs", "prefilter refuted", "SAT queried", "proven", "unknown", "replayed", "truncated")
-	for _, b := range benches {
-		r, err := sca.RefineLevels(b.c, sca.ExclConfig{Workers: cfg.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("refine: %s: %w", b.name, err)
-		}
-		s := r.Stats
+	for i, b := range benches {
+		s := proofs[i]
 		t2.Addf("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d",
 			b.name, s.CandidatePairs, s.PrefilterRefuted, s.Queried, s.Proven,
 			s.Unknown, s.ReplayChecked, s.TruncatedPairs+s.PathTruncated)

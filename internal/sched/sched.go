@@ -119,9 +119,8 @@ func run(ctx context.Context, workers, n int, fn func(i int) error, firstErr boo
 			record(i, CtxErr(ctx))
 			return
 		}
-		// A panicking item must not take down the pool (or, worse, the
-		// whole process when the pool is a shard-worker subprocess): it
-		// becomes a typed per-item internal fault.
+		// A panicking item must not take down the pool or the process:
+		// it becomes a typed per-item internal fault.
 		defer func() {
 			if r := recover(); r != nil {
 				record(i, simerr.New(simerr.ErrInternal, "sched",
@@ -177,9 +176,7 @@ func run(ctx context.Context, workers, n int, fn func(i int) error, firstErr boo
 // CtxErr classifies a fired context through the simerr taxonomy so
 // sweeps report budget overruns and cancellations the same way the
 // engines themselves do: a classified context.Cause wins, a deadline
-// maps to ErrBudget, anything else to ErrCancelled. The shard
-// executor (internal/shard) shares this classification so a budget
-// overrun reports identically in-process and across subprocesses.
+// maps to ErrBudget, anything else to ErrCancelled.
 func CtxErr(ctx context.Context) error {
 	cause := context.Cause(ctx)
 	if cause != nil && simerr.Kind(cause) != nil {

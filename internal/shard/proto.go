@@ -1,3 +1,16 @@
+// Package shard holds the frame codec of the retired subprocess shard
+// protocol: a 4-byte big-endian payload length followed by one
+// JSON-encoded frame. The executor, journal and transports that spoke
+// it are gone, grids run in-process on sched.Map, and nothing in the
+// module imports this package; ROADMAP item 3 schedules its removal
+// together with simerr.KindName and KindFromName.
+//
+// The prefix makes framing self-describing: a stream that carries
+// anything else produces an implausible length or an unmarshalable
+// payload, which the decoder reports as a typed protocol error rather
+// than hanging or mis-parsing. Errors cross the stream as their simerr
+// wire name plus message, so a budget overrun on the sending side
+// decodes as simerr.ErrBudget, not a generic failure.
 package shard
 
 import (
@@ -13,76 +26,33 @@ import (
 	"mtcmos/internal/simerr"
 )
 
-// The coordinator and its workers speak length-prefixed JSON frames —
-// a 4-byte big-endian payload length followed by one JSON-encoded
-// frame — over the worker's stdin/stdout (subprocess transport) or a
-// TCP connection bridged by mtworkd (internal/shard/net). The prefix
-// makes framing self-describing: a worker that writes anything else
-// onto the stream (a stray print, the garbage-output fault) produces
-// an implausible length or an unmarshalable payload, which the reader
-// reports as a typed protocol error and the coordinator treats as a
-// worker death rather than hanging or mis-parsing.
-//
-// Coordinator -> worker:
-//
-//	{"type":"grid","task":...,"params":...,"n":...}  once per worker
-//	{"type":"shard","shard":id,"start":s,"count":c}  one per assignment
-//	{"type":"quit"}                                  graceful shutdown
-//
-// Worker -> coordinator:
-//
-//	{"type":"hello"}                                 after startup
-//	{"type":"heartbeat","shard":id}                  while computing
-//	{"type":"result","shard":id,"items":[...],"err":{...}}
-//	{"type":"exit","code":N}                         bridge-only: the
-//	    remote worker's exit status, written by mtworkd just before it
-//	    closes the connection (the subprocess transport reads the exit
-//	    status from the process itself)
-//
-// Errors cross the boundary as their simerr wire name plus message,
-// so a budget overrun inside a worker reports simerr.ErrBudget at
-// the coordinator, not a generic failure.
-
 // ErrProto marks a framing violation: an implausible length prefix,
 // an oversized payload, or an unmarshalable body. It is distinct from
 // plain I/O errors (EOF, reset) so callers and the fuzz harness can
 // tell "the stream died" from "the stream carried garbage".
 var ErrProto = errors.New("shard: protocol error")
 
-// MaxFrame bounds a frame payload on every transport — the same cap
-// is enforced by the encoder, the decoder, and the journal replayer.
-// Anything larger is treated as a corrupted stream. Shard results
-// carry at most a few thousand small JSON items, far below this.
+// MaxFrame bounds a frame payload; the encoder and the decoder both
+// enforce it. Anything larger is treated as a corrupted stream.
 const MaxFrame = 64 << 20
 
 // Frame types.
 const (
-	frameGrid      = "grid"
-	frameShard     = "shard"
-	frameQuit      = "quit"
-	frameHello     = "hello"
-	frameHeartbeat = "heartbeat"
-	frameResult    = "result"
-	frameExit      = "exit"
+	frameHello  = "hello"
+	frameResult = "result"
 )
 
-// frame is one protocol message in either direction; unused fields
-// are omitted on the wire.
+// frame is one protocol message; unused fields are omitted on the
+// wire.
 type frame struct {
-	Type   string            `json:"type"`
-	Task   string            `json:"task,omitempty"`
-	Params json.RawMessage   `json:"params,omitempty"`
-	N      int               `json:"n,omitempty"`
-	Shard  int               `json:"shard"`
-	Start  int               `json:"start,omitempty"`
-	Count  int               `json:"count,omitempty"`
-	Items  []json.RawMessage `json:"items,omitempty"`
-	Err    *wireError        `json:"err,omitempty"`
-	Code   int               `json:"code,omitempty"`
+	Type  string            `json:"type"`
+	Shard int               `json:"shard"`
+	Items []json.RawMessage `json:"items,omitempty"`
+	Err   *wireError        `json:"err,omitempty"`
 }
 
-// wireError carries a classified failure across the worker boundary:
-// the simerr kind's stable wire name plus the message.
+// wireError carries a classified failure across the stream: the
+// simerr kind's stable wire name plus the message.
 type wireError struct {
 	Kind string `json:"kind,omitempty"`
 	Msg  string `json:"msg"`
@@ -98,7 +68,7 @@ func toWire(err error) *wireError {
 
 // fromWire decodes a result-frame error back into a typed error: a
 // known kind reconstitutes as a *simerr.Error of that kind, anything
-// else classifies as an internal fault of the worker.
+// else classifies as an internal fault of the sender.
 func (we *wireError) fromWire() error {
 	if we == nil {
 		return nil
@@ -112,8 +82,6 @@ func (we *wireError) fromWire() error {
 // EncodeFrame writes one length-prefixed JSON frame carrying v. The
 // MaxFrame cap is enforced on the way out too, so an oversized
 // payload is a typed local error instead of a peer-side stream kill.
-// Exported for internal/shard/net, which reuses the codec for its
-// handshake messages.
 func EncodeFrame(w io.Writer, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -157,19 +125,8 @@ func DecodeFrame(r io.Reader, v any) error {
 	return nil
 }
 
-// WriteExitFrame reports a bridged worker's exit code to the
-// coordinator just before the stream closes. Only the TCP bridge
-// (mtworkd) sends it — the subprocess transport reads the exit status
-// from the process — and the coordinator uses it to keep the typed
-// exit-code classification (budget = 4, cancelled = 5, ...) across
-// hosts.
-func WriteExitFrame(w io.Writer, code int) error {
-	return EncodeFrame(w, &frame{Type: frameExit, Code: code})
-}
-
-// frameWriter serializes frame writes from multiple goroutines (the
-// worker's heartbeat ticker runs beside its compute loop) and flushes
-// per frame so the peer sees every message promptly.
+// frameWriter serializes frame writes from multiple goroutines and
+// flushes per frame so the peer sees every message promptly.
 type frameWriter struct {
 	mu sync.Mutex
 	w  *bufio.Writer

@@ -15,8 +15,7 @@
 //   - ErrCancelled: the run's context was cancelled (Ctrl-C, parent
 //     deadline);
 //   - ErrInternal: the machinery around a run failed rather than the
-//     simulation itself — a panicking sweep item, a crashed or hung
-//     shard worker subprocess, a garbled worker protocol frame.
+//     simulation itself — e.g. a sweep item panicked.
 //
 // Failures are reported as *Error values wrapping the sentinel and
 // carrying diagnostics: the offending node or device, the simulated
@@ -94,8 +93,8 @@ func Kind(err error) error {
 
 // IsRecoverable reports whether err is a per-simulation failure a
 // caller may reasonably degrade around (convergence, numerical,
-// budget, or an internal fault such as a crashed worker), as opposed
-// to a cancellation that must propagate.
+// budget, or an internal fault such as a panicking sweep item), as
+// opposed to a cancellation that must propagate.
 func IsRecoverable(err error) bool {
 	return errors.Is(err, ErrNoConvergence) ||
 		errors.Is(err, ErrNumerical) ||
@@ -104,8 +103,7 @@ func IsRecoverable(err error) bool {
 }
 
 // kindNames maps each sentinel onto its stable wire name, used by the
-// shard-worker protocol to carry classified failures across process
-// boundaries (internal/shard).
+// shard frame codec to carry classified failures across a stream.
 var kindNames = []struct {
 	kind error
 	name string

@@ -39,7 +39,6 @@
 package mtcmos
 
 import (
-	"context"
 	"io"
 
 	"mtcmos/internal/circuit"
@@ -54,8 +53,6 @@ import (
 	"mtcmos/internal/report"
 	"mtcmos/internal/sca"
 	"mtcmos/internal/sched"
-	"mtcmos/internal/shard"
-	shardnet "mtcmos/internal/shard/net"
 	"mtcmos/internal/simerr"
 	"mtcmos/internal/sizing"
 	"mtcmos/internal/spice"
@@ -681,84 +678,6 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentOutput, error) {
 	}
 	return e.Run(cfg)
 }
-
-// --- Sharded execution ---
-
-// ShardTask computes one index-contiguous slice of an independent-run
-// grid; see RegisterShardTask. Tasks must be pure functions of
-// (params, index) so sharded output is byte-identical to serial.
-type ShardTask = shard.Task
-
-// ShardOptions tunes a sharded grid run: shard/worker-pool geometry,
-// retry backoff, heartbeat watchdog, quarantine threshold, and the
-// checkpoint journal (see DESIGN.md §12).
-type ShardOptions = shard.Options
-
-// ShardRunner bundles ShardOptions for config structs
-// (ExperimentConfig.Shard) and remembers the last run's stats.
-type ShardRunner = shard.Runner
-
-// ShardStats summarizes one sharded run: retries, worker deaths,
-// resumed and quarantined shards.
-type ShardStats = shard.Stats
-
-// ShardResult is a merged grid: items in index order, nil where a
-// quarantined shard's results would be.
-type ShardResult = shard.Result
-
-// ShardQuarantine is one isolated poison shard and the typed error
-// that got it quarantined.
-type ShardQuarantine = shard.Quarantine
-
-// ShardSpawner starts worker subprocesses for a sharded run; nil
-// degrades to in-process execution.
-type ShardSpawner = shard.Spawner
-
-// RegisterShardTask installs a grid task under a stable name, in both
-// coordinator and worker binaries (call from an init function).
-func RegisterShardTask(name string, t ShardTask) { shard.Register(name, t) }
-
-// RunSharded executes a registered grid task over n items on the
-// fault-tolerant shard executor and returns the index-ordered merge.
-func RunSharded(ctx context.Context, task string, params any, n int, opts ShardOptions) (*ShardResult, error) {
-	return shard.Run(ctx, task, params, n, opts)
-}
-
-// SelfShardSpawner spawns workers by re-executing the current binary
-// with the given arguments (mtexp/mtsim pass "-worker").
-func SelfShardSpawner(args ...string) ShardSpawner { return shard.SelfSpawner(args...) }
-
-// ServeShardWorker runs the worker side of the shard protocol on the
-// given streams until the coordinator disconnects.
-func ServeShardWorker(ctx context.Context, in io.Reader, out io.Writer) error {
-	return shard.ServeWorker(ctx, in, out)
-}
-
-// ShardTransport attaches workers for a sharded run; set
-// ShardOptions.Transport to run shards remotely (TCPShardTransport)
-// while keeping ShardOptions.Spawn as the local fallback rung.
-type ShardTransport = shard.Transport
-
-// ShardDaemon is the worker-daemon half of the TCP transport (what
-// cmd/mtworkd wraps): it accepts coordinator connections and runs
-// their shards in bounded worker-subprocess slots.
-type ShardDaemon = shardnet.Server
-
-// ShardTransportConfig tunes TCPShardTransport (shared-secret auth,
-// dial/handshake timeouts, host probe pacing); the zero value works.
-type ShardTransportConfig = shardnet.Config
-
-// TCPShardTransport dials mtworkd daemons on the given host:port set
-// and runs shards there; output stays byte-identical to a local run.
-// A protocol/task-registry/auth mismatch fails the run; unreachable
-// or busy hosts degrade to ShardOptions.Spawn, then in-process.
-func TCPShardTransport(hosts []string, cfg ShardTransportConfig) (ShardTransport, error) {
-	return shardnet.NewTransport(hosts, cfg)
-}
-
-// ParseShardHosts resolves a host-list spec — "a:9123,b:9123" or
-// "@file" with one host:port per line — for TCPShardTransport.
-func ParseShardHosts(spec string) ([]string, error) { return shardnet.ParseHosts(spec) }
 
 // --- Reporting and waveforms ---
 

@@ -133,82 +133,6 @@ END {
 
 echo "wrote $ROUT"
 
-SOUT="BENCH_shard.json"
-shardout=$(go test -run '^$' \
-    -bench 'BenchmarkShardInProcess$|BenchmarkShardSubprocess$|BenchmarkShardRetryPath$' \
-    -benchtime "${BENCH_TIME}" -timeout 30m ./internal/shard | tee /dev/stderr)
-
-# Overhead ratios are computed against the in-process row: subprocess
-# captures spawn + frame-protocol cost, retry-path additionally pays
-# one injected worker crash + backoff per op.
-printf '%s\n' "$shardout" | awk -v btime="$BENCH_TIME" '
-/^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = ""
-    for (i = 2; i <= NF; i++) if ($(i+1) == "ns/op") { ns = $i; break }
-    if (ns == "") next
-    n++
-    bench[n] = name
-    bns[n] = ns
-    if (name == "BenchmarkShardInProcess") base = ns
-}
-END {
-    printf "{\n"
-    printf "  \"generated_by\": \"scripts/bench.sh\",\n"
-    printf "  \"benchtime\": \"%s\",\n", btime
-    printf "  \"note\": \"same grid via in-process shards, worker subprocesses, and subprocesses with one injected crash+retry; overhead is vs in-process on this machine\",\n"
-    printf "  \"shard\": [\n"
-    for (i = 1; i <= n; i++) {
-        ov = (base > 0) ? bns[i] / base : 0
-        printf "    {\"bench\": \"%s\", \"ns_per_op\": %s, \"overhead_vs_inprocess\": %.2f}%s\n", bench[i], bns[i], ov, (i < n ? "," : "")
-    }
-    printf "  ]\n"
-    printf "}\n"
-}' > "$SOUT"
-
-echo "wrote $SOUT"
-
-NOUT="BENCH_net.json"
-netout=$( (go test -run '^$' \
-    -bench 'BenchmarkShardInProcess$|BenchmarkShardSubprocess$' \
-    -benchtime "${BENCH_TIME}" -timeout 30m ./internal/shard
-           go test -run '^$' \
-    -bench 'BenchmarkShardLoopbackTCP$' \
-    -benchtime "${BENCH_TIME}" -timeout 30m ./internal/shard/net) | tee /dev/stderr)
-
-# The same 64-item grid at shards=8/procs=2 on all three transports;
-# loopback TCP adds the handshake plus daemon bridging on top of the
-# subprocess cost, an upper bound on the per-worker network overhead
-# (real clusters add wire latency but amortize it over bigger shards).
-printf '%s\n' "$netout" | awk -v btime="$BENCH_TIME" '
-/^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = ""
-    for (i = 2; i <= NF; i++) if ($(i+1) == "ns/op") { ns = $i; break }
-    if (ns == "") next
-    n++
-    bench[n] = name
-    bns[n] = ns
-    if (name == "BenchmarkShardInProcess") base = ns
-}
-END {
-    printf "{\n"
-    printf "  \"generated_by\": \"scripts/bench.sh\",\n"
-    printf "  \"benchtime\": \"%s\",\n", btime
-    printf "  \"note\": \"same grid in-process, on worker subprocesses, and over loopback TCP to an in-process worker daemon; overhead is vs in-process on this machine\",\n"
-    printf "  \"transports\": [\n"
-    for (i = 1; i <= n; i++) {
-        ov = (base > 0) ? bns[i] / base : 0
-        printf "    {\"bench\": \"%s\", \"ns_per_op\": %s, \"overhead_vs_inprocess\": %.2f}%s\n", bench[i], bns[i], ov, (i < n ? "," : "")
-    }
-    printf "  ]\n"
-    printf "}\n"
-}' > "$NOUT"
-
-echo "wrote $NOUT"
-
 KOUT="BENCH_kernel.json"
 kernelout=$(go test -run '^$' \
     -bench 'BenchmarkKernel' \

@@ -57,30 +57,17 @@ go test -race -timeout "$CHECK_TIMEOUT" -count=1 \
     ./internal/sizing/ ./internal/experiments/ ./internal/vectors/ ./internal/cli/ \
     ./internal/sca/ .
 
-echo "== shard chaos + resume gate (-race) =="
-# The multi-process shard executor under injected worker faults:
-# crashed/hung/garbage workers are retried, poison shards quarantine,
-# journaled runs resume, and rendered output stays byte-identical to
-# the serial in-process run throughout (DESIGN.md §12).
-go test -race -timeout "$CHECK_TIMEOUT" -count=1 \
-    -run 'TestRunSubprocessDeterministic|TestCrashedWorkersRetry|TestHungWorkerWatchdog|TestGarbageStreamRecovered|TestPoisonShard|TestPanickingTask|TestWorkerBudgetPropagates|TestCoordinatorBudgetKillsWorkers|TestLowestIndexedFailureWins|TestJournal|TestSpawnFailureFallsBackInProcess|TestFig14ShardedChaosByteIdentical|TestFig14PoisonShardDegrades|TestSpeedupSharded|TestSimSharded|TestSimResumeWorkflow|TestExpSharded|TestExpShardStatsUnderTime|TestExpResumeSingleExperimentOnly' \
-    ./internal/shard/ ./internal/experiments/ ./internal/cli/
-
-echo "== tcp transport chaos + resume gate (-race) =="
-# The cross-host path (DESIGN.md §14): loopback mtworkd daemons under
-# killed-daemon and crashed-worker chaos, handshake-mismatch refusal,
-# remote exit-code propagation, transport-pinned journals, and the
-# frame-decoder contract — rendered output stays byte-identical to
-# local runs throughout.
-go test -race -timeout "$CHECK_TIMEOUT" -count=1 \
-    -run 'TestLoopbackDeterministic|TestCrashChaosOverTCP|TestDaemonKilledMidShardRecovers|TestAllHostsDown|TestAuth|TestHandshake|TestMismatchDoesNotDegrade|TestSlotsBusySpillsOver|TestRemoteExitCodePropagates|TestJournalPinsTransportKind|TestParseHosts|TestKindSortsHosts|TestExpHosts|TestSimHosts|TestExpResumeRefusesTransportSwitch|TestVersionFlagAllTools|TestEncodeFrameRefusesOversize|TestDecodeFrame' \
-    ./internal/shard/ ./internal/shard/net/ ./internal/cli/
-
 echo "== prove gate (-race) =="
 # The path-condition prover over the example decks on the parallel
 # executor: witnesses, MT023, and MT019 suppression must hold under
 # the race detector, and warnings are errors so a regression that
 # un-suppresses a proven-driven node fails the gate.
 go run -race ./cmd/mtlint -prove -verbose -werror -j 8 examples/decks/*.sp
+
+echo "== bench module =="
+# bench/ is its own module (replace mtcmos => ../); the root-module
+# gates above never compile it, so this is the check that the facade
+# still builds for the benchmark driver.
+(cd bench && go vet . && go test .)
 
 echo "all checks passed"
