@@ -37,7 +37,6 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		timings = fs.Bool("time", false, "print per-experiment wall time")
 		timeout = fs.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited; overruns exit 4)")
 		jobs    = fs.Int("j", 0, "parallel sweep workers (0 = one per CPU, 1 = serial); results are identical for any value")
-		solverF = fs.String("solver", "auto", "reference-engine equation solver for DC analyses: auto | dense | sparse; output is byte-identical for any value")
 		version = versionFlag(fs)
 		profF   = addProfileFlags(fs)
 	)
@@ -47,10 +46,6 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	if *version {
 		printVersion(w, "mtexp")
 		return nil
-	}
-	solver, err := mtcmos.ParseSolver(*solverF)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	prof, err := profF.start()
 	if err != nil {
@@ -76,7 +71,6 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		Seed:           *seed,
 		Ctx:            ctx,
 		Workers:        *jobs,
-		Solver:         solver,
 	}
 	var ids []string
 	if *exp == "all" {

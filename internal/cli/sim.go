@@ -46,7 +46,6 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		nolint  = fs.Bool("nolint", false, "skip the pre-simulation lint pass (mtlint rules)")
 		timeout = fs.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited; overruns exit 4)")
 		maxStep = fs.Int("max-steps", 0, "cap accepted timesteps (spice) / events (vbs); 0 = unlimited, overruns exit 4")
-		solverF = fs.String("solver", "auto", "reference-engine equation solver: auto | dense | sparse (spice engine and -netlist runs)")
 		version = versionFlag(fs)
 		profF   = addProfileFlags(fs)
 	)
@@ -57,10 +56,6 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		printVersion(w, "mtsim")
 		return nil
 	}
-	solver, err := mtcmos.ParseSolver(*solverF)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
-	}
 	prof, err := profF.start()
 	if err != nil {
 		return err
@@ -70,7 +65,7 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	defer cancel()
 
 	if *netFile != "" {
-		return runNetlist(ctx, w, *netFile, *techF, *tstop, *traceS, *plot, *nolint, *maxStep, solver)
+		return runNetlist(ctx, w, *netFile, *techF, *tstop, *traceS, *plot, *nolint, *maxStep)
 	}
 
 	var wls []float64
@@ -145,7 +140,6 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		}
 		ropts := mtcmos.SpiceOptions{Options: mtcmos.EngineOptions{
 			TStop: ts, SampleDT: 20e-12, Ctx: ctx, MaxSteps: *maxStep,
-			Solver: solver,
 		}}
 		if *traceS != "" {
 			ropts.RecordNets = strings.Split(*traceS, ",")
@@ -381,7 +375,7 @@ func newSeries(name string) *mtcmos.Series {
 }
 
 func printSpice(w io.Writer, c *mtcmos.Circuit, res *mtcmos.SpiceResult, outs []string, traced string, plot bool) {
-	fmt.Fprintf(w, "steps: %d  sweeps: %d  device evals: %d\n", res.Steps, res.Sweeps, res.Evals)
+	fmt.Fprintf(w, "steps: %d  newton iterations: %d  device evals: %d\n", res.Steps, res.Sweeps, res.Evals)
 	worst, worstNet := 0.0, ""
 	for _, n := range outs {
 		if d, err := res.Delay(n); err == nil {
@@ -416,7 +410,7 @@ func printSpice(w io.Writer, c *mtcmos.Circuit, res *mtcmos.SpiceResult, outs []
 	}
 }
 
-func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced string, plot, nolint bool, maxSteps int, solver mtcmos.Solver) error {
+func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced string, plot, nolint bool, maxSteps int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -443,7 +437,7 @@ func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced str
 		}
 		ts = v
 	}
-	opts := mtcmos.EngineOptions{TStop: ts, SampleDT: 20e-12, Ctx: ctx, MaxSteps: maxSteps, Solver: solver}
+	opts := mtcmos.EngineOptions{TStop: ts, SampleDT: 20e-12, Ctx: ctx, MaxSteps: maxSteps}
 	if traced != "" {
 		opts.Record = strings.Split(traced, ",")
 	}
@@ -451,7 +445,7 @@ func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced str
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "steps: %d  sweeps: %d\n", res.Steps, res.Sweeps)
+	fmt.Fprintf(w, "steps: %d  newton iterations: %d\n", res.Steps, res.Sweeps)
 	for name, tr := range res.Traces {
 		fmt.Fprintf(w, "node %-14s final %.4g V (%d samples)\n", name, tr.Final(), tr.Len())
 		if plot {

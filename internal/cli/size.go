@@ -35,7 +35,6 @@ func SizeContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		maxStep = fs.Int("max-steps", 0, "cap switch-level events per simulation; 0 = unlimited")
 		jobs    = fs.Int("j", 0, "parallel workers for per-transition sweeps (0 = one per CPU, 1 = serial); results are identical for any value")
 		standby = fs.Bool("standby", false, "verify the chosen size with a reference-engine standby DC analysis (leakage reduction, virtual-ground float)")
-		solverF = fs.String("solver", "auto", "reference-engine equation solver for -standby: auto | dense | sparse")
 		version = versionFlag(fs)
 		profF   = addProfileFlags(fs)
 	)
@@ -45,10 +44,6 @@ func SizeContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	if *version {
 		printVersion(w, "mtsize")
 		return nil
-	}
-	solver, err := mtcmos.ParseSolver(*solverF)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	prof, err := profF.start()
 	if err != nil {
@@ -169,12 +164,12 @@ func SizeContext(ctx context.Context, args []string, w io.Writer) (err error) {
 			return fmt.Errorf("-standby needs a sized device; include the delay or peak estimator")
 		}
 		c.SleepWL = wl
-		sb, err := mtcmos.StandbyWith(c, trs[0].Old, solver)
+		sb, err := mtcmos.Standby(c, trs[0].Old)
 		if err != nil {
 			return fmt.Errorf("standby: %w", err)
 		}
-		fmt.Fprintf(w, "\nstandby check at W/L=%.1f (%s solver): vgnd floats to %.3g V\n",
-			wl, solver, sb.VGndFloat)
+		fmt.Fprintf(w, "\nstandby check at W/L=%.1f: vgnd floats to %.3g V\n",
+			wl, sb.VGndFloat)
 		fmt.Fprintf(w, "standby %.4g fA vs active %.4g nA: %.3gx reduction\n",
 			sb.Standby*1e15, sb.Active*1e9, sb.Reduction)
 	}

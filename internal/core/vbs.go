@@ -723,10 +723,7 @@ func (s *sim) run(stim circuit.Stimulus) error {
 	for _, v := range s.res.Crossings {
 		sort.Float64s(v)
 	}
-	s.res.Final = make(map[string]bool, len(s.logic))
-	for k, v := range s.logic {
-		s.res.Final[k] = v
-	}
+	s.res.Final = s.logic // run-fresh; release hands it over (compiled.go)
 	return nil
 }
 

@@ -53,14 +53,6 @@ type Config struct {
 	// tables and series regardless of the worker count (see DESIGN.md
 	// §9); -j N on cmd/mtexp sets this.
 	Workers int
-
-	// Solver selects the reference engine's linear kernel (dense,
-	// sparse, or size-based auto) for the experiments that run a full
-	// Newton DC analysis (standby). Transient experiments keep the
-	// relaxation solver regardless, so every experiment's rendered
-	// output is byte-identical across solver choices; -solver on
-	// cmd/mtexp sets this.
-	Solver spice.Solver
 }
 
 // simOpts threads the run context into simulator options.

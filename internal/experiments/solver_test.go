@@ -1,30 +1,29 @@
 package experiments
 
-import (
-	"testing"
+import "testing"
 
-	"mtcmos/internal/spice"
-)
-
-// TestExperimentsSolverInvariant renders every registered experiment
-// under each solver-kernel choice and requires byte-identical output:
-// Config.Solver reaches only the DC analyses, whose dense and sparse
-// kernels polish to the same root (internal/spice op.go), so -solver
-// on mtexp is a pure speed knob. Small configuration keeps the full
-// registry sweep test-sized.
+// TestExperimentsSolverInvariant renders every registered experiment,
+// reference-engine columns included, once serially and once on two
+// workers, and requires byte-identical output. The reference solver
+// keeps all of its mutable state (Newton workspace, iterate, step
+// control) per run, so the transients and DC solves of neighbouring
+// sweep points may run concurrently without touching one another; any
+// scratch shared between solves would show up here as a diverging
+// cell. Small circuits and a two-vector reference sweep keep the full
+// registry test-sized.
 func TestExperimentsSolverInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep")
 	}
-	render := func(id string, solver spice.Solver) string {
-		cfg := Config{Fast: true, MultiplierBits: 4, AdderBits: 2, Solver: solver}
+	render := func(id string, workers int) string {
+		cfg := Config{MultiplierBits: 4, AdderBits: 2, SpiceVectors: 2, Workers: workers}
 		e, err := Find(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out, err := e.Run(cfg)
 		if err != nil {
-			t.Fatalf("%s (%v): %v", id, solver, err)
+			t.Fatalf("%s (-j %d): %v", id, workers, err)
 		}
 		return outputKey(out)
 	}
@@ -33,15 +32,13 @@ func TestExperimentsSolverInvariant(t *testing.T) {
 			if e.ID == "speedup" {
 				// Its runtime table reports measured wall-clock, which
 				// differs between any two runs of the same config; a
-				// solver comparison there would only compare noise.
+				// schedule comparison there would only compare noise.
 				t.Skip("reports measured wall-clock")
 			}
-			auto := render(e.ID, spice.SolverAuto)
-			for _, solver := range []spice.Solver{spice.SolverDense, spice.SolverSparse} {
-				if got := render(e.ID, solver); got != auto {
-					t.Errorf("%s renders differently under %v:\n%s\nvs auto:\n%s",
-						e.ID, solver, got, auto)
-				}
+			serial := render(e.ID, 1)
+			if got := render(e.ID, 2); got != serial {
+				t.Errorf("%s renders differently on 2 workers:\n%s\nvs serial:\n%s",
+					e.ID, got, serial)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Package faultinject seeds deterministic failures into the reference
 // transient engine's device evaluations: NaN currents, current spikes,
-// and per-evaluation jitter that keeps relaxation sweeps from ever
+// and per-iteration jitter that keeps Newton iterations from ever
 // settling ("stuck iterations"). It exists to prove the resilience
 // machinery in internal/spice actually works — that every rung of the
 // convergence-recovery ladder fires in order and rescues the step it
@@ -49,10 +49,10 @@ const (
 	// Spike multiplies the device current by Magnitude.
 	Spike
 	// Stuck adds ±Magnitude to the current, alternating sign on every
-	// relaxation sweep: the bias cancels inside one Newton iteration's
-	// numeric derivative (so the solver stays well-posed) but flips
-	// between sweeps, so the sweep-to-sweep movement never settles
-	// below the convergence tolerance.
+	// Newton iteration: the bias shifts only the residual (the
+	// Jacobian is analytic, so the solver stays well-posed) but flips
+	// between iterations, so the update never settles below the
+	// convergence tolerance.
 	Stuck
 )
 

@@ -82,13 +82,10 @@ func TestEachRungRescues(t *testing.T) {
 		fault Fault
 		check func(t *testing.T, st spice.RecoveryStats)
 	}{
-		// One failed 60-sweep attempt evaluates the target device 240
-		// times (2 residuals x 2 Newton iterations per sweep), so a
-		// Count of 300 fully poisons the first step attempt and then
-		// expires part-way into the retry: the single seeded failure is
-		// rescued by back-off alone. (A persistent fault would pin the
-		// timestep at DTMin after a few rescued steps and legitimately
-		// escalate to damping.)
+		// One failed 60-iteration attempt evaluates the target device
+		// 60 times, so a Count of 300 poisons the first attempt of five
+		// consecutive steps; the fault clears at the back-off rung, so
+		// each is rescued by back-off alone.
 		{"backoff", Fault{
 			Kind: Stuck, Device: "mn", Start: 1.1e-9, Count: 300,
 			ClearAtRung: spice.RungBackoff,

@@ -8,19 +8,25 @@ import (
 	"mtcmos/internal/spice"
 )
 
-// These tests rerun the recovery-ladder proofs on the transient
-// full-Newton sparse path (Options.Solver = SolverSparse): the ladder
-// enters the matrix solver as an omega-damped update vector, a gmin
-// diagonal stamp and ramped source values, so every rung must rescue
-// its seeded failure exactly as it does on the relaxation path.
+// These tests pin the recovery-ladder proofs to the Newton step
+// solver's own accounting: the ladder enters the matrix solve as an
+// omega-damped update vector, a gmin diagonal stamp and ramped source
+// values, and one failed attempt evaluates each device once per
+// Newton iteration, so the fault counts here are sized in iterations.
 
+// TestBaselineConvergesSparseNewton pins the clean run's cost: each
+// Newton iteration evaluates each of the inverter's two devices exactly
+// once, and no attempt needs a retry.
 func TestBaselineConvergesSparseNewton(t *testing.T) {
-	res, err := runWith(t, New(), spice.Options{Solver: spice.SolverSparse})
+	res, err := runWith(t, New(), spice.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recovery.Rescued != 0 {
-		t.Errorf("clean run must not need rescue, stats %+v", res.Recovery)
+	if res.Recovery.Rescued != 0 || res.Recovery.Backoffs != 0 {
+		t.Errorf("clean run must not need retries, stats %+v", res.Recovery)
+	}
+	if res.Evals != 2*res.Sweeps {
+		t.Errorf("%d evaluations over %d Newton iterations, want 2 per iteration", res.Evals, res.Sweeps)
 	}
 	if v := res.Trace("out").At(2.5e-9); v > 0.6 {
 		t.Errorf("final V(out) = %g, inverter must have switched low", v)
@@ -42,9 +48,7 @@ func TestEachRungRescuesSparseNewton(t *testing.T) {
 		// per iteration (one stamp pass each), so a 60-iteration
 		// attempt burns 60 hits: Count 75 fully poisons the first
 		// attempt and expires a few iterations into the next step,
-		// keeping the single seeded failure a back-off-only rescue
-		// (the relaxation variant needs Count 300 for the same effect
-		// because each sweep re-evaluates the device four times).
+		// keeping the single seeded failure a back-off-only rescue.
 		{"backoff", Fault{
 			Kind: Stuck, Device: "mn", Start: 1.1e-9, Count: 75,
 			ClearAtRung: spice.RungBackoff,
@@ -90,7 +94,7 @@ func TestEachRungRescuesSparseNewton(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := New(tc.fault)
-			res, err := runWith(t, inj, spice.Options{Solver: spice.SolverSparse})
+			res, err := runWith(t, inj, spice.Options{})
 			if err != nil {
 				t.Fatalf("run must be rescued by %v, got %v", tc.fault.ClearAtRung, err)
 			}
@@ -106,12 +110,11 @@ func TestEachRungRescuesSparseNewton(t *testing.T) {
 }
 
 // TestNaNFailsFastSparseNewton: injected NaN poisons the stamped
-// residual, the solved update goes non-finite, and the per-update
-// guard must fail fast with the node named — same contract as the
-// relaxation path.
+// residual, and the residual guard must fail fast with the node named
+// instead of handing the step to the recovery ladder.
 func TestNaNFailsFastSparseNewton(t *testing.T) {
 	inj := New(Fault{Kind: NaN, Device: "mn", Start: 1.2e-9})
-	res, err := runWith(t, inj, spice.Options{Solver: spice.SolverSparse})
+	res, err := runWith(t, inj, spice.Options{})
 	if !errors.Is(err, simerr.ErrNumerical) {
 		t.Fatalf("want ErrNumerical, got %v", err)
 	}
@@ -124,5 +127,8 @@ func TestNaNFailsFastSparseNewton(t *testing.T) {
 	}
 	if res == nil || res.Trace("out").Len() < 2 {
 		t.Fatal("partial result must carry the pre-failure waveform")
+	}
+	if res.Recovery.Backoffs != 0 {
+		t.Errorf("poison must not be retried, stats %+v", res.Recovery)
 	}
 }

@@ -95,11 +95,11 @@ func (d Device) Ids(vgs, vds, vsb float64) float64 {
 	// added as a floor under the square-law current, which keeps the
 	// total continuous across the threshold.
 	sat := 1 - math.Exp(-vds/(t.TempK*8.617333262e-5))
-	expArg := vov
-	if expArg > 0 {
-		expArg = 0
+	ew := 1.0 // exp(min(vov, 0)/nvt)
+	if vov < 0 {
+		ew = math.Exp(vov / nvt)
 	}
-	iweak := t.I0 * d.WL * math.Exp(expArg/nvt) * sat
+	iweak := t.I0 * d.WL * ew * sat
 
 	if vov <= 0 {
 		return iweak
@@ -144,13 +144,13 @@ func (d Device) IdsDeriv(vgs, vds, vsb float64) (ids, gm, gds, gmb float64) {
 	nvt := t.SubN * vT
 
 	c0 := t.I0 * d.WL
-	sat := 1 - math.Exp(-vds/vT)
-	dsat := math.Exp(-vds/vT) / vT
-	expArg := vov
-	if expArg > 0 {
-		expArg = 0
+	ex := math.Exp(-vds / vT)
+	sat := 1 - ex
+	dsat := ex / vT
+	ew := 1.0 // exp(min(vov, 0)/nvt)
+	if vov < 0 {
+		ew = math.Exp(vov / nvt)
 	}
-	ew := math.Exp(expArg / nvt)
 	iweak := c0 * ew * sat
 
 	if vov <= 0 {

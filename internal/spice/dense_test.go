@@ -120,3 +120,48 @@ func TestSolveDenseResidual(t *testing.T) {
 		}
 	}
 }
+
+// solveDense solves J x = b in place with partial pivoting (J and b
+// are clobbered): the dense oracle the sparse LU is tested against.
+// A zero pivot (an isolated unknown) is patched to identity, leaving
+// that unknown's update at zero, as the sparse refactor does.
+func solveDense(j [][]float64, b []float64) ([]float64, error) {
+	n := len(b)
+	for col := 0; col < n; col++ {
+		// Pivot.
+		p := col
+		best := math.Abs(j[col][col])
+		for r := col + 1; r < n; r++ {
+			if a := math.Abs(j[r][col]); a > best {
+				best, p = a, r
+			}
+		}
+		if best == 0 {
+			j[col][col] = 1
+			b[col] = 0
+			continue
+		}
+		j[col], j[p] = j[p], j[col]
+		b[col], b[p] = b[p], b[col]
+		inv := 1 / j[col][col]
+		for r := col + 1; r < n; r++ {
+			fac := j[r][col] * inv
+			if fac == 0 {
+				continue
+			}
+			for c := col; c < n; c++ {
+				j[r][c] -= fac * j[col][c]
+			}
+			b[r] -= fac * b[col]
+		}
+	}
+	x := make([]float64, n)
+	for r := n - 1; r >= 0; r-- {
+		sum := b[r]
+		for c := r + 1; c < n; c++ {
+			sum -= j[r][c] * x[c]
+		}
+		x[r] = sum / j[r][r]
+	}
+	return x, nil
+}

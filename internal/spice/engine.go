@@ -2,16 +2,20 @@
 // transient simulator: the stand-in for the commercial SPICE the paper
 // compares its switch-level tool against (see DESIGN.md substitutions).
 //
-// The engine is an iterated-timing-analysis relaxation simulator in the
-// SPLICE tradition: every node carries a grounded capacitance (explicit
-// caps plus a configurable floor), each backward-Euler timestep is
-// solved by Gauss-Seidel sweeps of per-node scalar Newton iterations,
-// and the timestep adapts to convergence behaviour. For the mostly
-// unidirectional digital MOS circuits this toolkit targets, the scheme
-// converges quickly and reproduces the first-order physics the paper's
-// comparisons rely on: gate-drive loss and body effect from virtual
-// ground bounce, vector-dependent discharge current overlap, and RC
-// relaxation of the virtual ground rail.
+// Every node carries its explicit grounded and floating capacitance;
+// each backward-Euler timestep is solved by full Newton iteration over
+// all free nodes at once. One iteration stamps the KCL residual and its
+// analytic Jacobian (one device-model evaluation per MOSFET, stamp.go)
+// and solves the linear system with a sparse LU whose ordering and fill
+// pattern are computed once per compiled engine (sparse.go). The same
+// kernel solves the DC operating point (op.go), so the virtual ground
+// floating up in standby together with every output riding on it moves
+// as one collective mode. The timestep adapts to the Newton iteration
+// count, and a convergence-recovery ladder (recovery.go) rescues the
+// steps that still fail. The scheme reproduces the first-order physics
+// the paper's comparisons rely on: gate-drive loss and body effect from
+// virtual ground bounce, vector-dependent discharge current overlap,
+// and RC relaxation of the virtual ground rail.
 package spice
 
 import (
@@ -37,8 +41,8 @@ type Options struct {
 	Cmin  float64 // per-node capacitance floor (default 0.1fF)
 
 	// Convergence control.
-	VTol     float64 // per-sweep voltage convergence (default 20uV)
-	MaxSweep int     // Gauss-Seidel sweeps per step (default 60)
+	VTol     float64 // Newton convergence: largest voltage update (default 20uV)
+	MaxSweep int     // Newton iterations per step attempt (default 60)
 
 	// Record lists node names to trace; nil records every node.
 	Record []string
@@ -76,12 +80,6 @@ type Options struct {
 	// Intercept, when non-nil, observes and may replace every MOS
 	// current evaluation (fault injection; see internal/faultinject).
 	Intercept Intercept
-
-	// Solver selects the linear kernel behind the full-Newton solvers
-	// (see stamp.go). SolverAuto keeps the per-node relaxation for
-	// transient steps and picks dense/sparse by circuit size for DC;
-	// SolverDense and SolverSparse force a matrix kernel everywhere.
-	Solver Solver
 }
 
 func (o *Options) withDefaults() Options {
@@ -113,7 +111,7 @@ type Result struct {
 	// Options.MeasureCurrent.
 	Currents map[string]*wave.Trace
 	Steps    int // accepted timesteps
-	Sweeps   int // total Gauss-Seidel sweeps
+	Sweeps   int // total Newton iterations
 	Evals    int // total device evaluations
 	// Recovery counts convergence-recovery ladder activity.
 	Recovery RecoveryStats
@@ -216,20 +214,18 @@ type Engine struct {
 	fcaps []capInst
 	srcs  []srcInst
 
-	// adjacency: element indices touching each node
-	nodeMOS  [][]int32
-	nodeRes  [][]int32
-	nodeCaps [][]int32
+	// adjacency: element indices touching each node (current
+	// measurement, deviceCurrentInto)
+	nodeMOS [][]int32
+	nodeRes [][]int32
 
-	order []int32 // free-node relaxation order
+	free []int32 // free (not source-driven) nodes: the Newton unknowns
 
-	pool sync.Pool // *runState: recycled per-run solver vectors
+	pool *sync.Pool // *runState: recycled per-run solver state
 
-	// Sparse analytic-Jacobian solver context (stamp.go), built lazily
-	// on first use so relaxation-only runs never pay the ordering cost;
-	// the symbolic factorization is then shared by every solve.
-	sparseOnce sync.Once
-	sp         *sparseCtx
+	// Sparse solver context (stamp.go): the symbolic factorization and
+	// stamp destinations, shared by every solve on this engine.
+	sp *sparseCtx
 }
 
 // Compile builds a simulation engine from a flattened netlist.
@@ -237,7 +233,7 @@ func Compile(f *netlist.Flat, tech *mosfet.Tech) (*Engine, error) {
 	if err := tech.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{tech: tech, index: map[string]int32{}}
+	e := &Engine{tech: tech, index: map[string]int32{}, pool: new(sync.Pool)}
 	idx := func(name string) int32 {
 		name = netlist.CanonNode(name)
 		if name == netlist.Ground {
@@ -310,7 +306,6 @@ func Compile(f *netlist.Flat, tech *mosfet.Tech) (*Engine, error) {
 
 	e.nodeMOS = make([][]int32, n)
 	e.nodeRes = make([][]int32, n)
-	e.nodeCaps = make([][]int32, n)
 	attach := func(lists [][]int32, node int32, ei int32) {
 		if node == groundIdx {
 			return
@@ -331,17 +326,29 @@ func Compile(f *netlist.Flat, tech *mosfet.Tech) (*Engine, error) {
 		attach(e.nodeRes, r.a, int32(i))
 		attach(e.nodeRes, r.b, int32(i))
 	}
-	for i, c := range e.fcaps {
-		attach(e.nodeCaps, c.a, int32(i))
-		attach(e.nodeCaps, c.b, int32(i))
-	}
 
 	for i := int32(0); i < int32(n); i++ {
 		if e.fixed[i] < 0 {
-			e.order = append(e.order, i)
+			e.free = append(e.free, i)
 		}
 	}
+	e.sp = e.buildSparse()
 	return e, nil
+}
+
+// withSourceDC returns an engine that shares e's compiled circuit —
+// devices, factorization and run-state pool — but holds the source
+// driving node at a constant dc volts.
+func (e *Engine) withSourceDC(node string, dc float64) (*Engine, error) {
+	i, ok := e.index[netlist.CanonNode(node)]
+	if !ok || e.fixed[i] < 0 {
+		return nil, fmt.Errorf("spice: no source drives node %q", node)
+	}
+	c := *e
+	c.srcs = append([]srcInst(nil), e.srcs...)
+	src := &c.srcs[e.fixed[i]]
+	src.v = netlist.Vsrc{Name: src.v.Name, P: src.v.P, N: src.v.N, DC: dc}
+	return &c, nil
 }
 
 // deviceFor maps a netlist model name onto a device archetype.
@@ -401,66 +408,23 @@ func (e *Engine) mosCurrents(m *mosInst, v []float64, st *runState) (intoD, into
 	return isd, -isd
 }
 
-// residual computes the KCL residual at free node i: net current into
-// the node from devices and resistors minus capacitor charging current
-// (backward Euler over dt from vprev). A positive residual means the
-// node must rise. gmin adds a shunt conductance to ground (the Gmin
-// recovery rung's homotopy load; 0 on the normal path).
-func (e *Engine) residual(i int32, v, vprev []float64, dt, gmin float64, st *runState) float64 {
-	into := -gmin * v[i]
-	for _, mi := range e.nodeMOS[i] {
-		m := &e.mos[mi]
-		d, s := e.mosCurrents(m, v, st)
-		st.res.Evals++
-		if m.d == i {
-			into += d
-		}
-		if m.s == i {
-			into += s
-		}
-	}
-	for _, ri := range e.nodeRes[i] {
-		r := &e.ress[ri]
-		var other int32
-		if r.a == i {
-			other = r.b
-		} else {
-			other = r.a
-		}
-		vo := 0.0
-		if other != groundIdx {
-			vo = v[other]
-		}
-		into += (vo - v[i]) * r.g
-	}
-	// Grounded cap.
-	icharge := e.cg[i] * (v[i] - vprev[i]) / dt
-	// Floating caps.
-	for _, ci := range e.nodeCaps[i] {
-		c := &e.fcaps[ci]
-		var other int32
-		if c.a == i {
-			other = c.b
-		} else {
-			other = c.a
-		}
-		vo, vop := 0.0, 0.0
-		if other != groundIdx {
-			vo, vop = v[other], vprev[other]
-		}
-		icharge += c.f * ((v[i] - vprev[i]) - (vo - vop)) / dt
-	}
-	return into - icharge
-}
-
 // Run executes the transient and returns recorded traces. Runtime
 // failures (non-convergence, numerical poison, budget exhaustion,
 // cancellation) return the partial Result up to the failure time
 // alongside a typed *simerr.Error; only configuration errors return a
 // nil Result.
 func (e *Engine) Run(opts Options) (*Result, error) {
+	return e.run(opts, nil)
+}
+
+// maxTraceReserve caps the samples Run reserves per trace up front.
+const maxTraceReserve = 1 << 14
+
+// run is Run; a non-nil final also receives every node's voltage at
+// the last accepted step, for callers that record no traces.
+func (e *Engine) run(opts Options, final []float64) (*Result, error) {
 	o := opts.withDefaults()
-	if o.TStop <= 0 {
+	if !(o.TStop > 0) {
 		return nil, fmt.Errorf("spice: TStop must be positive")
 	}
 	st := e.lease()
@@ -476,55 +440,6 @@ func (e *Engine) Run(opts Options) (*Result, error) {
 	for _, s := range e.srcs {
 		if s.node != groundIdx {
 			v[s.node] = s.v.At(0)
-		}
-	}
-
-	// Recording setup.
-	rec := map[string]*wave.Trace{}
-	var recNodes []int32
-	addRec := func(name string) {
-		name = netlist.CanonNode(name)
-		i, ok := e.index[name]
-		if !ok || rec[name] != nil {
-			return
-		}
-		rec[name] = &wave.Trace{Name: name}
-		recNodes = append(recNodes, i)
-	}
-	if o.Record == nil {
-		for _, name := range e.names {
-			addRec(name)
-		}
-	} else {
-		for _, name := range o.Record {
-			addRec(name)
-		}
-	}
-	// Current measurement setup.
-	curTraces := map[string]*wave.Trace{}
-	var curNodes []int32
-	for _, name := range o.MeasureCurrent {
-		name = netlist.CanonNode(name)
-		i, ok := e.index[name]
-		if !ok || curTraces[name] != nil {
-			continue
-		}
-		curTraces[name] = &wave.Trace{Name: "i(" + name + ")"}
-		curNodes = append(curNodes, i)
-	}
-
-	lastSample := math.Inf(-1)
-	record := func(t float64, force bool) {
-		if !force && o.SampleDT > 0 && t-lastSample < o.SampleDT*0.999 {
-			return
-		}
-		lastSample = t
-		for _, i := range recNodes {
-			rec[e.names[i]].Append(t, v[i])
-		}
-		for _, i := range curNodes {
-			// Positive = delivered by the node into the devices.
-			curTraces[e.names[i]].Append(t, -e.deviceCurrentInto(i, v, st))
 		}
 	}
 
@@ -555,25 +470,82 @@ func (e *Engine) Run(opts Options) (*Result, error) {
 		return math.Inf(1)
 	}
 
+	// Recording setup. Traces reserve the samples a run at the step cap
+	// records: one per DTMax (or SampleDT), one per source corner and
+	// the start-up ramp from DTMax/8, so appends do not regrow them.
+	reserve := int(math.Min(o.TStop/math.Max(o.DTMax, o.SampleDT), maxTraceReserve)) + len(breaks) + 8
+	newTrace := func(name string) *wave.Trace {
+		return &wave.Trace{Name: name, T: make([]float64, 0, reserve), V: make([]float64, 0, reserve)}
+	}
+	rec := map[string]*wave.Trace{}
+	var recNodes []int32
+	addRec := func(name string) {
+		name = netlist.CanonNode(name)
+		i, ok := e.index[name]
+		if !ok || rec[name] != nil {
+			return
+		}
+		rec[name] = newTrace(name)
+		recNodes = append(recNodes, i)
+	}
+	if o.Record == nil {
+		for _, name := range e.names {
+			addRec(name)
+		}
+	} else {
+		for _, name := range o.Record {
+			addRec(name)
+		}
+	}
+	// Current measurement setup.
+	curTraces := map[string]*wave.Trace{}
+	var curNodes []int32
+	for _, name := range o.MeasureCurrent {
+		name = netlist.CanonNode(name)
+		i, ok := e.index[name]
+		if !ok || curTraces[name] != nil {
+			continue
+		}
+		curTraces[name] = newTrace("i(" + name + ")")
+		curNodes = append(curNodes, i)
+	}
+
+	lastSample := math.Inf(-1)
+	record := func(t float64, force bool) {
+		if !force && o.SampleDT > 0 && t-lastSample < o.SampleDT*0.999 {
+			return
+		}
+		lastSample = t
+		for _, i := range recNodes {
+			rec[e.names[i]].Append(t, v[i])
+		}
+		for _, i := range curNodes {
+			// Positive = delivered by the node into the devices.
+			curTraces[e.names[i]].Append(t, -e.deviceCurrentInto(i, v, st))
+		}
+	}
+
 	res := &Result{Traces: rec, Currents: curTraces}
 	st.t, st.dt = 0, o.DTMax/8
 	st.res, st.record, st.start = res, record, time.Now()
 	record(0, true)
 
-	for st.t < o.TStop {
+	var err error
+	for st.t < o.TStop && err == nil {
 		dtTry := math.Min(st.dt, o.TStop-st.t)
 		if nb := nextBreak(st.t); nb > st.t && nb-st.t < dtTry {
 			dtTry = nb - st.t
 		}
-		if err := e.advance(&o, st, dtTry); err != nil {
-			return res, err
-		}
+		err = e.advance(&o, st, dtTry)
 	}
-	return res, nil
+	if final != nil {
+		copy(final, v)
+	}
+	return res, err
 }
 
 // lease returns a recycled (or fresh) per-run state with zeroed
-// voltage vectors.
+// voltage vectors and a sparse Newton workspace.
 func (e *Engine) lease() *runState {
 	if x := e.pool.Get(); x != nil {
 		st := x.(*runState)
@@ -587,11 +559,12 @@ func (e *Engine) lease() *runState {
 		v:      make([]float64, n),
 		vprev:  make([]float64, n),
 		vtrial: make([]float64, n),
+		w:      e.sp.newWork(),
 	}
 }
 
 // release drops the run-scoped references (the Result and traces
-// escape to the caller) and recycles the solver vectors.
+// escape to the caller) and recycles the solver state.
 func (e *Engine) release(st *runState) {
 	st.res, st.record, st.icept = nil, nil, nil
 	st.einfo = EvalInfo{}

@@ -226,6 +226,9 @@ func TestRunOptionValidation(t *testing.T) {
 	if _, err := Simulate(f, tech07(), Options{}); err == nil {
 		t.Error("TStop=0 must fail")
 	}
+	if _, err := Simulate(f, tech07(), Options{TStop: math.NaN()}); err == nil {
+		t.Error("TStop=NaN must fail")
+	}
 }
 
 func TestFloatingNodeHoldsCharge(t *testing.T) {

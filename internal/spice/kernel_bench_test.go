@@ -9,12 +9,10 @@ import (
 )
 
 // Kernel benchmarks: the DC-heavy paths (operating points, standby
-// analysis, witness-style DC replay) under the numeric-probe dense
-// oracle vs the analytic-stamp sparse Newton kernel. scripts/bench.sh
-// renders these into BENCH_kernel.json; the custom metrics report the
-// Newton-iteration and device-evaluation counts per solve so a speedup
-// can be attributed (same iterations, cheaper iteration vs fewer
-// iterations).
+// analysis, witness-style DC replay) on the analytic-stamp sparse
+// Newton kernel. The custom metrics report the Newton-iteration and
+// device-evaluation counts per solve, so a change in ns/op can be
+// attributed to cheaper iterations or to fewer of them.
 
 // engineFor compiles a gate-level circuit biased at one input vector
 // and seeds node voltages from a logic evaluation — the same warm
@@ -46,33 +44,30 @@ func engineFor(b *testing.B, c *circuit.Circuit, inputs map[string]bool) (*Engin
 	return e, seed
 }
 
-// warmSeed settles every strongly-driven node with a short relaxation
-// transient and returns the final voltages — the two-stage pattern the
-// standby analysis uses before its Newton solve.
-func warmSeed(b *testing.B, e *Engine, seed map[string]float64) map[string]float64 {
+// settled runs the standby analysis's warm-up from seed and returns
+// its final node voltages by name.
+func settled(b *testing.B, e *Engine, seed map[string]float64) map[string]float64 {
 	b.Helper()
-	res, err := e.Run(Options{TStop: 2e-6, DTMax: 0.2e-6, InitialV: seed})
+	v, err := e.settle(seed)
 	if err != nil {
 		b.Fatal(err)
 	}
 	warm := make(map[string]float64, len(e.names))
-	for _, name := range e.names {
-		warm[name] = res.Traces[name].Final()
+	for i, name := range e.names {
+		warm[name] = v[i]
 	}
 	return warm
 }
 
-func benchOP(b *testing.B, e *Engine, seed map[string]float64, solver Solver) {
+func benchOP(b *testing.B, e *Engine, seed map[string]float64) {
 	b.Helper()
 	b.ReportAllocs()
+	b.ResetTimer()
 	iters, evals := 0, 0
 	for i := 0; i < b.N; i++ {
-		_, st, err := e.OperatingPointStats(seed, 0, solver)
+		_, st, err := e.OperatingPointStats(seed, 0)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if st.FellBack {
-			b.Fatal("sparse kernel fell back to dense")
 		}
 		iters += st.Iterations
 		evals += st.Evals
@@ -81,50 +76,38 @@ func benchOP(b *testing.B, e *Engine, seed map[string]float64, solver Solver) {
 	b.ReportMetric(float64(evals)/float64(b.N), "mos-evals/op")
 }
 
-var kernelSolvers = []Solver{SolverDense, SolverSparse}
-
-// BenchmarkKernelOPAdder: DC operating point of the 4-bit mirror adder
-// (the scale where auto switches to sparse).
+// BenchmarkKernelOPAdder: DC operating point of the 4-bit mirror adder.
 func BenchmarkKernelOPAdder(b *testing.B) {
 	ad := circuits.RippleCarryAdder(tech07(), 4, 20e-15)
 	ad.SleepWL = 20
 	e, seed := engineFor(b, ad.Circuit, ad.Inputs(9, 6, false))
-	for _, solver := range kernelSolvers {
-		b.Run(solver.String(), func(b *testing.B) { benchOP(b, e, seed, solver) })
-	}
+	benchOP(b, e, seed)
 }
 
 // BenchmarkKernelOPMultiplier: DC operating point of the 4x4 carry-save
-// multiplier from a relaxation-settled warm start — the largest DC
+// multiplier from a transient-settled warm start — the largest DC
 // solve the experiments run per size point, in the two-stage shape the
-// standby analysis uses. (The paper's 8x8 instance is ~4x the nodes;
-// dense grows cubically, so the gap widens further there.)
+// standby analysis uses.
 func BenchmarkKernelOPMultiplier(b *testing.B) {
 	m := circuits.CarrySaveMultiplier(tech07(), 4, 15e-15)
 	m.SleepWL = 40
 	e, seed := engineFor(b, m.Circuit, m.Inputs(0xF, 0x9))
-	warm := warmSeed(b, e, seed)
-	for _, solver := range kernelSolvers {
-		b.Run(solver.String(), func(b *testing.B) { benchOP(b, e, warm, solver) })
-	}
+	benchOP(b, e, settled(b, e, seed))
 }
 
 // BenchmarkKernelStandby: the full standby-leakage analysis of the
 // 3-bit adder (warm-up transient plus two Newton DC solves), the
 // workload behind the standby experiment's per-size rows.
 func BenchmarkKernelStandby(b *testing.B) {
-	for _, solver := range kernelSolvers {
-		b.Run(solver.String(), func(b *testing.B) {
-			ad := circuits.RippleCarryAdder(tech07(), 3, 20e-15)
-			ad.SleepWL = 20
-			inputs := ad.Inputs(3, 0, false)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := StandbyWith(ad.Circuit, inputs, solver); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	ad := circuits.RippleCarryAdder(tech07(), 3, 20e-15)
+	ad.SleepWL = 20
+	inputs := ad.Inputs(3, 0, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Standby(ad.Circuit, inputs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -154,7 +137,5 @@ func BenchmarkKernelWitnessReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, solver := range kernelSolvers {
-		b.Run(solver.String(), func(b *testing.B) { benchOP(b, e, nil, solver) })
-	}
+	benchOP(b, e, nil)
 }

@@ -2,113 +2,56 @@ package spice
 
 import "math"
 
-// This file is the transient full-Newton step solver: the matrix
-// alternative to the per-node Gauss-Seidel relaxation in solveSweeps,
-// selected by Options.Solver (dense or sparse; auto keeps relaxation).
-// One backward-Euler step is solved by Newton iterations over all free
-// nodes simultaneously — each iteration assembles the KCL residual
-// with companion-model capacitor stamps and solves J·delta = f with
-// the chosen linear kernel.
+// This file is the transient step solver. One backward-Euler step is
+// solved by Newton iterations over all free nodes simultaneously: each
+// iteration stamps the KCL residual with companion-model capacitor
+// stamps (stamp.go) and solves J·delta = f on the engine's sparse
+// factorization (sparse.go).
 //
-// The recovery ladder plugs in unchanged: an attempt's omega
-// under-relaxes the whole update vector (RungDamping), its gmin loads
-// every diagonal through the stamp pass (RungGmin), and its lambda has
-// already moved the fixed source nodes to partial targets before this
-// solver runs (RungSourceRamp) — the three homotopies are exactly
-// diagonal and RHS modifications of the same Newton system.
+// The recovery ladder plugs in as modifications of the same system: an
+// attempt's omega damps the whole update vector (RungDamping), its gmin
+// loads every diagonal through the stamp pass (RungGmin), and its
+// lambda has already moved the fixed source nodes to partial targets
+// before this solver runs (RungSourceRamp).
 
-// newtonWork holds the transient Newton workspaces of one runState:
-// the sparse kernel's factorization state and the dense kernel's
-// probe/Jacobian buffers, allocated on first use and recycled with the
-// runState through the engine pool.
-type newtonWork struct {
-	w     *spWork     // sparse: stamp + factor + solve workspace
-	f, fp []float64   // dense: residual base and probe vectors
-	jac   [][]float64 // dense: probed Jacobian
-}
-
-func (st *runState) newton(e *Engine, solver Solver) *newtonWork {
-	if st.nw == nil {
-		st.nw = &newtonWork{}
-	}
-	nw := st.nw
-	nf := len(e.order)
-	if solver == SolverSparse && nw.w == nil {
-		nw.w = e.sparse().lease()
-	}
-	if solver == SolverDense && nw.jac == nil {
-		nw.f = make([]float64, nf)
-		nw.fp = make([]float64, nf)
-		nw.jac = make([][]float64, nf)
-		for i := range nw.jac {
-			nw.jac[i] = make([]float64, nf)
-		}
-	}
-	return nw
-}
-
-// solveNewton solves one timestep attempt by full Newton iteration,
-// honoring the same attempt parameters and convergence contract as
-// solveSweeps: at most a.maxSweep iterations, per-update NaN guard
-// with the offending node identified, converged when the largest
-// applied voltage move falls below VTol.
-func (e *Engine) solveNewton(o *Options, st *runState, a attempt, solver Solver) sweepOut {
+// solveNewton solves one timestep attempt: at most a.maxSweep Newton
+// iterations, converged when the largest applied voltage move falls
+// below VTol. A non-finite residual is device poison and fails fast
+// with its node named; a non-finite update of a finite system is an
+// ill-conditioned step, reported as non-converged so the recovery
+// ladder can retry it.
+func (e *Engine) solveNewton(o *Options, st *runState, a attempt) sweepOut {
 	out := sweepOut{worst: -1}
-	nf := len(e.order)
-	if nf == 0 {
+	if len(e.free) == 0 {
 		out.converged = true
 		return out
 	}
-	nw := st.newton(e, solver)
-	vtrial, vprev := st.vtrial, st.vprev
-	// Same per-node step limiter as the relaxation solver.
+	w, sym := st.w, e.sp.sym
+	vtrial := st.vtrial
+	// Per-node step limiter: no update moves a node by more than half
+	// the rail window.
 	lim := 0.5 * (math.Abs(e.tech.Vdd) + 1)
-
-	var sp *sparseCtx
-	if solver == SolverSparse {
-		sp = e.sparse()
-	}
 	for ; out.sweeps < a.maxSweep; out.sweeps++ {
 		st.einfo.Sweep = out.sweeps
-		var delta []float64
-		if solver == SolverSparse {
-			e.stampSystem(sp, nw.w, vtrial, vprev, a.dt, a.gmin, st)
-			sp.sym.refactor(nw.w.num, nw.w.aval)
-			sp.sym.solve(nw.w.num, nw.w.rhs, nw.w.delta)
-			delta = nw.w.delta
-		} else {
-			for k, i := range e.order {
-				nw.f[k] = e.residual(i, vtrial, vprev, a.dt, a.gmin, st)
-			}
-			const h = 1e-7
-			for col, j := range e.order {
-				old := vtrial[j]
-				vtrial[j] = old + h
-				for row, i := range e.order {
-					nw.fp[row] = e.residual(i, vtrial, vprev, a.dt, a.gmin, st)
-				}
-				vtrial[j] = old
-				for row := range e.order {
-					nw.jac[row][col] = (nw.fp[row] - nw.f[row]) / h
-				}
-			}
-			delta, _ = solveDense(nw.jac, nw.f) // error path is unreachable
-		}
-		maxDelta := 0.0
-		for k, i := range e.order {
-			step := delta[k]
-			if step > lim {
-				step = lim
-			} else if step < -lim {
-				step = -lim
-			}
-			step *= a.omega
-			vtrial[i] -= step
-			if math.IsNaN(vtrial[i]) || math.IsInf(vtrial[i], 0) {
-				out.nan = true
-				out.worst = i
+		e.stampSystem(w, vtrial, st.vprev, a.dt, a.gmin, st)
+		for k, f := range w.rhs {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				out.nan, out.worst = true, e.free[k]
 				return out
 			}
+		}
+		sym.refactor(w.num, w.aval)
+		sym.solve(w.num, w.rhs, w.delta)
+		for k, d := range w.delta {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				out.worst = e.free[k]
+				return out
+			}
+		}
+		maxDelta := 0.0
+		for k, i := range e.free {
+			step := math.Max(-lim, math.Min(w.delta[k], lim)) * a.omega
+			vtrial[i] -= step
 			if d := math.Abs(step); d > maxDelta {
 				maxDelta = d
 				out.worst = i

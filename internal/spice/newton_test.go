@@ -1,97 +1,61 @@
 package spice
 
 import (
-	"math"
+	"fmt"
 	"testing"
+
+	"mtcmos/internal/circuit"
+	"mtcmos/internal/circuits"
+	"mtcmos/internal/mosfet"
 )
 
-// newtonDeck drives the mixed-element stamp deck's input through a
-// full swing so the transient walks every device region.
-const newtonDeck = `newton
-Vdd vdd 0 DC 1.2
-Vin a 0 PWL(0 0 0.5n 0 0.55n 1.2 1.5n 1.2 1.55n 0)
-Vsl sleep 0 DC 1.2
-Mp1 y a vdd vdd pmos W=2.8u L=0.7u
-Mn1 y a vgnd 0 nmos W=1.4u L=0.7u
-Mp2 z y vdd vdd pmos W=2.8u L=0.7u
-Mn2 z y vgnd 0 nmos W=1.4u L=0.7u
-Msl vgnd sleep 0 0 nmos_hvt W=7u L=0.7u
-R1 y z 50k
-C1 y 0 5f
-C2 z vgnd 3f
-Cl z 0 20f
-`
+// mult4 is the 4x4 carry-save multiplier of the paper's Fig. 7
+// vectors, in the 0.3 um technology with 15 fF loads: the circuit on
+// which Saha et al. (arXiv 1310.3203) size cluster sleep transistors.
+func mult4(wl float64) *circuits.Multiplier {
+	t3 := mosfet.Tech03()
+	m := circuits.CarrySaveMultiplier(&t3, 4, 15e-15)
+	m.SleepWL = wl
+	return m
+}
 
-// TestTransientNewtonMatchesRelaxation runs the same transient under
-// the relaxation solver (auto), the dense matrix kernel and the sparse
-// matrix kernel, and requires the waveforms to agree: all three
-// integrate the same backward-Euler system to the same per-step
-// tolerance, differing only in how each step's equations are solved.
-func TestTransientNewtonMatchesRelaxation(t *testing.T) {
-	f := flatten(t, newtonDeck)
-	run := func(solver Solver) *Result {
-		t.Helper()
-		e, err := Compile(f, tech07())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(Options{TStop: 2.5e-9, Solver: solver})
-		if err != nil {
-			t.Fatalf("solver %v: %v", solver, err)
-		}
-		return res
-	}
-	ref := run(SolverAuto)
-	for _, solver := range []Solver{SolverDense, SolverSparse} {
-		res := run(solver)
-		if res.Recovery.Rescued != 0 {
-			t.Errorf("solver %v: clean transient needed rescue: %+v", solver, res.Recovery)
-		}
-		for _, node := range []string{"y", "z", "vgnd"} {
-			want := ref.Trace(node)
-			got := res.Trace(node)
-			if got == nil || want == nil {
-				t.Fatalf("missing trace %q", node)
+// TestStandbyMultiplierConverges solves the standby operating point of
+// the 4x4 multiplier at W/L 95 in states whose warm-up transient once
+// exhausted the recovery ladder. (0, 15) and (8, 9) also pin the step
+// solver's rule that a non-finite update of a finite system is retried
+// by the ladder rather than failed as poison.
+func TestStandbyMultiplierConverges(t *testing.T) {
+	for _, xy := range [][2]uint64{{15, 9}, {8, 12}, {11, 6}, {0, 15}, {8, 9}} {
+		t.Run(fmt.Sprintf("%dx%d", xy[0], xy[1]), func(t *testing.T) {
+			m := mult4(95)
+			res, err := Standby(m.Circuit, m.Inputs(xy[0], xy[1]))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, at := range []float64{0.4e-9, 0.8e-9, 1.2e-9, 2.0e-9, 2.5e-9} {
-				wv, gv := want.At(at), got.At(at)
-				if d := math.Abs(wv - gv); d > 5e-3 {
-					t.Errorf("solver %v: V(%s) at %g: relaxation %g vs newton %g (|d|=%g)",
-						solver, node, at, wv, gv, d)
-				}
+			if !(res.Reduction > 1) || !(res.VGndFloat > 0 && res.VGndFloat <= m.Tech.Vdd) {
+				t.Errorf("reduction %.3g, virtual ground %.3g V", res.Reduction, res.VGndFloat)
 			}
-		}
+		})
 	}
 }
 
-// TestTransientNewtonSparseMatchesDense pins the two matrix kernels to
-// each other much tighter than either to relaxation: identical
-// iteration logic, only the linear solve differs.
-func TestTransientNewtonSparseMatchesDense(t *testing.T) {
-	f := flatten(t, newtonDeck)
-	run := func(solver Solver) *Result {
-		t.Helper()
-		e, err := Compile(f, tech07())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(Options{TStop: 2.5e-9, Solver: solver})
-		if err != nil {
-			t.Fatalf("solver %v: %v", solver, err)
-		}
-		return res
-	}
-	dense := run(SolverDense)
-	sparse := run(SolverSparse)
-	if dense.Steps == 0 || sparse.Steps == 0 {
-		t.Fatal("no steps accepted")
-	}
-	for _, node := range []string{"y", "z", "vgnd"} {
-		dt, st := dense.Trace(node), sparse.Trace(node)
-		for _, at := range []float64{0.4e-9, 0.8e-9, 1.2e-9, 2.0e-9, 2.5e-9} {
-			if d := math.Abs(dt.At(at) - st.At(at)); d > 1e-4 {
-				t.Errorf("V(%s) at %g: dense %g vs sparse %g", node, at, dt.At(at), st.At(at))
+// TestTransientMultiplierReverseVectorA runs the reverse of the paper's
+// vector A (15·9 → 0·0) on the 4x4 multiplier, which used to fail at
+// t = 0, and requires every product bit to settle low.
+func TestTransientMultiplierReverseVectorA(t *testing.T) {
+	for _, wl := range []float64{0, 40} {
+		t.Run(fmt.Sprintf("wl=%g", wl), func(t *testing.T) {
+			m := mult4(wl)
+			stim := circuit.Stimulus{Old: m.Inputs(15, 9), New: m.Inputs(0, 0), TEdge: 1e-9, TRise: 50e-12}
+			rr, err := Run(m.Circuit, stim, RunOptions{Options: Options{TStop: 20e-9}})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			for _, n := range m.ProductNets {
+				if v := rr.OutTrace(n).Final(); v > 0.1*m.Tech.Vdd {
+					t.Errorf("%s ends at %.3f V, want 0", n, v)
+				}
+			}
+		})
 	}
 }

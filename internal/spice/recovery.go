@@ -11,9 +11,8 @@ import (
 
 // Rung identifies a level of the convergence-recovery ladder. The
 // engine climbs the ladder in order when a timestep fails to converge:
-// plain retries at smaller dt (back-off), Gauss-Seidel under-relaxation
-// (damping), conductance homotopy (Gmin stepping), and finally source
-// ramping. Device-evaluation hooks receive the active rung, which is
+// plain retries at smaller dt (back-off), damped Newton (damping),
+// conductance homotopy (Gmin stepping), and finally source ramping. Device-evaluation hooks receive the active rung, which is
 // how the fault-injection harness proves each rung fires.
 type Rung int
 
@@ -22,7 +21,7 @@ const (
 	RungNone Rung = iota
 	// RungBackoff retries the step at successively halved timesteps.
 	RungBackoff
-	// RungDamping under-relaxes the Newton updates (omega < 1).
+	// RungDamping damps the Newton updates (omega < 1).
 	RungDamping
 	// RungGmin solves a sequence of problems with a shrinking shunt
 	// conductance to ground on every free node, re-seeding each solve
@@ -56,7 +55,7 @@ type Recovery struct {
 	// Disable restores the historical behavior: fail with
 	// ErrNoConvergence as soon as timestep back-off reaches DTMin.
 	Disable bool
-	// DampingLevels is how many under-relaxation retries to attempt
+	// DampingLevels is how many damped-Newton retries to attempt
 	// (omega = 1/2, 1/4, ...). Default 2.
 	DampingLevels int
 	// GminLadder is the conductance-stepping schedule in siemens,
@@ -84,7 +83,7 @@ func (r Recovery) withDefaults() Recovery {
 // RecoveryStats counts ladder activity over a run.
 type RecoveryStats struct {
 	Backoffs    int // timestep halvings after a failed attempt
-	Dampings    int // steps rescued by under-relaxation
+	Dampings    int // steps rescued by damped Newton
 	GminSteps   int // steps rescued by conductance stepping
 	SourceRamps int // steps rescued by source ramping
 	Rescued     int // total steps accepted above the back-off rung
@@ -95,7 +94,7 @@ type EvalInfo struct {
 	Device string  // netlist device name
 	T      float64 // target time of the step being solved
 	Dt     float64 // timestep being attempted
-	Sweep  int     // Gauss-Seidel sweep index within the attempt
+	Sweep  int     // Newton iteration index within the attempt
 	Rung   Rung    // active recovery rung (RungNone on the normal path)
 }
 
@@ -119,15 +118,15 @@ type runState struct {
 	icept Intercept
 	einfo EvalInfo
 
-	// Full-Newton step-solver workspaces (newton.go), allocated on
-	// first use when Options.Solver selects a matrix kernel.
-	nw *newtonWork
+	// Sparse Newton workspace (stamp.go), owned for the runState's
+	// lifetime and recycled with it.
+	w *spWork
 }
 
 // attempt parameterizes one candidate solve of a single timestep.
 type attempt struct {
 	dt       float64
-	omega    float64 // under-relaxation factor (1 = undamped)
+	omega    float64 // Newton damping factor (1 = undamped)
 	gmin     float64 // shunt conductance to ground on free nodes
 	lambda   float64 // fraction of the source move toward t+dt applied
 	maxSweep int
@@ -138,7 +137,7 @@ type attempt struct {
 // sweepOut reports one step-solve attempt.
 type sweepOut struct {
 	converged bool
-	sweeps    int
+	sweeps    int   // Newton iterations spent
 	worst     int32 // node with the largest final update (diagnostics)
 	nan       bool  // a NaN/Inf voltage appeared at node worst
 }
@@ -181,7 +180,7 @@ func (e *Engine) checkBudgets(o *Options, st *runState) error {
 }
 
 // attemptStep seeds vtrial, applies the (possibly ramped) source
-// values for t+dt, and runs the sweep solver.
+// values for t+dt, and runs the Newton step solver.
 func (e *Engine) attemptStep(o *Options, st *runState, a attempt) sweepOut {
 	copy(st.vprev, st.v)
 	if !a.keepSeed {
@@ -200,76 +199,12 @@ func (e *Engine) attemptStep(o *Options, st *runState, a attempt) sweepOut {
 		st.vtrial[s.node] = target
 	}
 	st.einfo = EvalInfo{T: tNew, Dt: a.dt, Rung: a.rung}
-	if o.Solver != SolverAuto {
-		return e.solveNewton(o, st, a, o.Solver)
-	}
-	return e.solveSweeps(o, st, a)
-}
-
-// solveSweeps runs damped Gauss-Seidel sweeps of per-node scalar
-// Newton iterations for one backward-Euler step. Every updated voltage
-// is guarded against NaN/Inf so numerical poison fails fast with the
-// offending node identified.
-func (e *Engine) solveSweeps(o *Options, st *runState, a attempt) sweepOut {
-	vtrial, vprev := st.vtrial, st.vprev
-	out := sweepOut{worst: -1}
-	for ; out.sweeps < a.maxSweep; out.sweeps++ {
-		st.einfo.Sweep = out.sweeps
-		maxDelta := 0.0
-		for _, i := range e.order {
-			vi := vtrial[i]
-			start := vi
-			// Scalar Newton, at most two iterations per sweep;
-			// Gauss-Seidel supplies the outer fixed point.
-			for it := 0; it < 2; it++ {
-				g := e.residual(i, vtrial, vprev, a.dt, a.gmin, st)
-				const h = 1e-5
-				vtrial[i] = vi + h
-				gp := e.residual(i, vtrial, vprev, a.dt, a.gmin, st)
-				vtrial[i] = vi
-				dg := (gp - g) / h
-				if dg >= -1e-18 {
-					// Degenerate derivative; fall back to a
-					// capacitance-limited explicit move.
-					dg = -e.cg[i]/a.dt - 1e-12
-				}
-				step := -g / dg
-				// Damp huge steps to keep Newton stable.
-				lim := 0.5 * (math.Abs(e.tech.Vdd) + 1)
-				if step > lim {
-					step = lim
-				} else if step < -lim {
-					step = -lim
-				}
-				vi += a.omega * step
-				vtrial[i] = vi
-				if math.IsNaN(vi) || math.IsInf(vi, 0) {
-					out.nan = true
-					out.worst = i
-					return out
-				}
-				if math.Abs(step) < o.VTol/4 {
-					break
-				}
-			}
-			if d := math.Abs(vi - start); d > maxDelta {
-				maxDelta = d
-				out.worst = i
-			}
-		}
-		if maxDelta < o.VTol {
-			out.converged = true
-			out.sweeps++
-			break
-		}
-	}
-	return out
+	return e.solveNewton(o, st, a)
 }
 
 // advance takes one timestep of at most dtTry from st.t, climbing the
 // convergence-recovery ladder on failure: timestep back-off, then
-// under-relaxation, then Gmin conductance stepping, then source
-// ramping. On success the state and result are updated; otherwise a
+// damped Newton, then Gmin conductance stepping, then source ramping. On success the state and result are updated; otherwise a
 // typed *simerr.Error is returned and the partial result stays valid.
 func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 	accept := func(a attempt, sweeps int, rescued bool) {
@@ -283,7 +218,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 			st.dt = math.Max(a.dt, o.DTMin)
 			return
 		}
-		// Adapt: quick convergence earns a larger step.
+		// Adapt: quick Newton convergence earns a larger step.
 		if sweeps <= 6 {
 			st.dt = math.Min(st.dt*1.4, o.DTMax)
 		} else if sweeps > 20 {
@@ -323,7 +258,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 			"no convergence even at minimum timestep (recovery disabled)")
 	}
 
-	// Rung 2: under-relaxation at the minimum viable timestep.
+	// Rung 2: damped Newton at the minimum viable timestep.
 	omega := 0.5
 	for k := 0; k < o.Recovery.DampingLevels; k++ {
 		a := attempt{dt: dtd, omega: omega, lambda: 1, maxSweep: 2 * o.MaxSweep, rung: RungDamping}

@@ -12,48 +12,27 @@ import (
 	"mtcmos/internal/netlist"
 )
 
-// compareOP solves the DC operating point with the dense oracle and
-// the sparse analytic kernel and requires the solutions to agree far
-// below rendering granularity: both kernels polish the final gmin
-// stage to a stationary point, so they must land on the same root.
-func compareOP(t *testing.T, e *Engine, seed map[string]float64) {
+// checkKCL solves the DC operating point and requires Kirchhoff's
+// current law to hold at every free node, summed independently of the
+// stamp pass through deviceCurrentInto.
+func checkKCL(t *testing.T, e *Engine, seed map[string]float64) {
 	t.Helper()
-	vd, sd, err := e.OperatingPointStats(seed, 0, SolverDense)
+	v, st, err := e.OperatingPointStats(seed, 0)
 	if err != nil {
-		t.Fatalf("dense: %v", err)
+		t.Fatalf("operating point: %v", err)
 	}
-	vs, ss, err := e.OperatingPointStats(seed, 0, SolverSparse)
-	if err != nil {
-		t.Fatalf("sparse: %v", err)
+	if st.Factorizations == 0 || st.Evals == 0 {
+		t.Fatalf("stats empty: %+v", st)
 	}
-	if sd.Solver != SolverDense || ss.Solver != SolverSparse {
-		t.Fatalf("stats solvers: dense=%v sparse=%v", sd.Solver, ss.Solver)
-	}
-	if ss.Factorizations == 0 || ss.Evals == 0 {
-		t.Fatalf("sparse stats empty: %+v", ss)
-	}
-	for i, name := range e.names {
-		if d := math.Abs(vd[i] - vs[i]); d > 1e-9 {
-			t.Errorf("node %s: dense %.15g vs sparse %.15g (|d|=%g)", name, vd[i], vs[i], d)
-		}
-	}
-	// Supply currents are the quantities experiments render (leakage
-	// down to femtoamps): require tight relative agreement.
-	for _, s := range e.srcs {
-		if s.node == groundIdx {
-			continue
-		}
-		name := e.names[s.node]
-		id, _ := e.SupplyCurrent(vd, name)
-		is, _ := e.SupplyCurrent(vs, name)
-		if d := math.Abs(id - is); d > 1e-6*math.Abs(id)+1e-21 {
-			t.Errorf("supply %s: dense %.12g vs sparse %.12g", name, id, is)
+	for _, i := range e.free {
+		if r := e.deviceCurrentInto(i, v, nil); !(math.Abs(r) <= 1e-12) {
+			t.Errorf("node %s: KCL residual %g A", e.names[i], r)
 		}
 	}
 }
 
-// TestOperatingPointSparseMatchesDenseDecks runs the equivalence check
-// on every deck shipped under examples/decks.
+// TestOperatingPointSparseMatchesDenseDecks runs the KCL check on every
+// deck shipped under examples/decks.
 func TestOperatingPointSparseMatchesDenseDecks(t *testing.T) {
 	decks, err := filepath.Glob("../../examples/decks/*.sp")
 	if err != nil || len(decks) == 0 {
@@ -77,7 +56,7 @@ func TestOperatingPointSparseMatchesDenseDecks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareOP(t, e, nil)
+			checkKCL(t, e, nil)
 		})
 	}
 }
@@ -114,49 +93,6 @@ func TestOperatingPointSparseMatchesDenseRandom(t *testing.T) {
 				seed[name] = rng.Float64() * ad.Tech.Vdd
 			}
 		}
-		compareOP(t, e, seed)
-	}
-}
-
-// TestOperatingPointAutoSelectsBySize pins the auto policy: small
-// circuits stay on the dense oracle, large ones move to the sparse
-// kernel.
-func TestOperatingPointAutoSelectsBySize(t *testing.T) {
-	small, err := Compile(flatten(t, stampDeck), tech07())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := small.OperatingPointStats(nil, 0, SolverAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(small.order) < autoSparseNodes && st.Solver != SolverDense {
-		t.Errorf("small circuit (%d free nodes) picked %v", len(small.order), st.Solver)
-	}
-
-	ad := circuits.RippleCarryAdder(tech07(), 4, 20e-15)
-	ad.SleepWL = 20
-	inputs := ad.Inputs(9, 6, false)
-	nl, err := ad.Circuit.Netlist(circuit.Stimulus{Old: inputs, New: inputs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := nl.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Compile(f, ad.Tech)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(big.order) < autoSparseNodes {
-		t.Skipf("adder only has %d free nodes", len(big.order))
-	}
-	_, st, err = big.OperatingPointStats(nil, 0, SolverAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Solver != SolverSparse || st.FellBack {
-		t.Errorf("large circuit (%d free nodes): solver %v fellBack=%v", len(big.order), st.Solver, st.FellBack)
+		checkKCL(t, e, seed)
 	}
 }

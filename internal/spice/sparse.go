@@ -17,12 +17,12 @@ import (
 // the up-looking symbolic factorization of PAPᵀ under that static
 // pivot order, then make each numeric pass a flat scatter/eliminate/
 // gather over the precomputed pattern with no allocation and no
-// searching. Static (diagonal) pivoting is safe here because every
-// assembled system carries a positive diagonal load on each free node:
-// gmin during DC solves, the capacitance floor Cmin/dt during
-// transient steps. A diagonal that still vanishes (a structurally
-// isolated unknown) is patched to identity, matching solveDense's
-// "leave the insensitive unknown where it is" fallback.
+// searching. Static (diagonal) pivoting is safe here because the
+// assembled systems carry a diagonal load on their free nodes: gmin
+// during DC solves, capacitor companion conductances c/dt and device
+// output conductances during transient steps. A diagonal that still
+// vanishes (a structurally isolated unknown) is patched to identity:
+// the insensitive unknown stays where it is.
 
 // sparseSym is the symbolic part of the factorization: the elimination
 // order and all index structure. It is immutable after construction
@@ -266,8 +266,7 @@ func (s *sparseSym) refactor(num *sparseNum, aval []float64) {
 		}
 		if x[int32(i)] == 0 {
 			// Structurally isolated unknown: patch to identity and
-			// pin its update to zero at solve time, mirroring
-			// solveDense's zero-pivot fallback.
+			// pin its update to zero at solve time.
 			x[int32(i)] = 1
 			num.patched[i] = true
 		} else {

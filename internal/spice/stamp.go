@@ -1,73 +1,18 @@
 package spice
 
-import (
-	"fmt"
-	"sync"
+import "mtcmos/internal/mosfet"
 
-	"mtcmos/internal/mosfet"
-)
-
-// This file assembles the sparse Newton systems solved by the analytic
-// kernel: the Solver selection knob, the per-engine sparse context
-// (symbolic factorization plus precomputed stamp destinations), and the
-// stamp pass itself. The division of labor with sparse.go: sparse.go
-// knows linear algebra and nothing about circuits; this file knows
-// circuits and nothing about elimination.
+// This file assembles the sparse Newton systems the engine solves:
+// the per-engine sparse context (symbolic factorization plus
+// precomputed stamp destinations) and the stamp pass itself. The
+// division of labor with sparse.go: sparse.go knows linear algebra and
+// nothing about circuits; this file knows circuits and nothing about
+// elimination.
 //
-// The Jacobian convention matches the numeric probe in op.go exactly:
-// the residual at free node i is f_i = (device+resistor current into i)
-// − gmin·v_i − (capacitor charging current, transient only), and the
-// assembled matrix is J[r][c] = ∂f_r/∂v_c. Newton then solves
+// The residual at free node i is f_i = (device+resistor current into
+// i) − gmin·v_i − (capacitor charging current, transient only), and
+// the assembled matrix is J[r][c] = ∂f_r/∂v_c. Newton then solves
 // J·delta = f and applies v -= delta.
-
-// Solver selects the linear kernel behind the full-Newton solvers
-// (DC operating point, and the matrix transient step solver).
-type Solver int
-
-const (
-	// SolverAuto picks per call site: the sparse kernel for DC solves on
-	// large circuits (with a dense fallback if it fails to converge),
-	// the historical per-node relaxation for transient steps.
-	SolverAuto Solver = iota
-	// SolverDense forces the numeric-probe dense kernel: one circuit
-	// re-evaluation per node per Newton iteration and an O(n³) LU. Slow
-	// but assumption-free; kept as the oracle the sparse path is tested
-	// against.
-	SolverDense
-	// SolverSparse forces the analytic-stamp sparse kernel everywhere.
-	SolverSparse
-)
-
-func (s Solver) String() string {
-	switch s {
-	case SolverDense:
-		return "dense"
-	case SolverSparse:
-		return "sparse"
-	default:
-		return "auto"
-	}
-}
-
-// ParseSolver maps the CLI spelling onto a Solver.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "", "auto":
-		return SolverAuto, nil
-	case "dense":
-		return SolverDense, nil
-	case "sparse":
-		return SolverSparse, nil
-	}
-	return SolverAuto, fmt.Errorf("spice: unknown solver %q (want auto, dense or sparse)", s)
-}
-
-// autoSparseNodes is the free-node count at which SolverAuto switches
-// the DC operating point from the dense oracle to the sparse kernel:
-// below it the dense solve is already microseconds and not worth the
-// ordering setup; above it the O(n³) solve and O(n) re-evaluations per
-// column dominate.
-const autoSparseNodes = 32
 
 // mosStamp holds the precomputed destinations of one MOS device's
 // Jacobian entries: for each of its current-carrying terminals (drain
@@ -90,7 +35,7 @@ type twoStamp struct {
 }
 
 // spWork is the per-solve numeric workspace: one factorization state
-// plus assembly and solution vectors. Leased from the context's pool so
+// plus assembly and solution vectors. Each runState owns one, so
 // concurrent runs on a shared engine never contend.
 type spWork struct {
 	num   *sparseNum
@@ -100,9 +45,8 @@ type spWork struct {
 }
 
 // sparseCtx is the per-engine sparse solver context: the symbolic
-// factorization (immutable, shared) and the baked stamp destinations.
-// Built lazily on first use — relaxation-only runs, which dominate the
-// experiment hot paths, never pay for the ordering.
+// factorization and the baked stamp destinations, built by Compile and
+// immutable afterwards.
 type sparseCtx struct {
 	sym   *sparseSym
 	rowOf []int32 // engine node index -> matrix row, -1 if fixed/ground
@@ -111,25 +55,15 @@ type sparseCtx struct {
 	resS []twoStamp
 	capS []twoStamp
 	diag []int32 // matrix row -> slot of its diagonal entry
-
-	pool sync.Pool // *spWork
-}
-
-// sparse returns the engine's lazily-built sparse context. Safe for
-// concurrent callers; the symbolic factorization is computed exactly
-// once per compiled engine and reused by every solve afterwards.
-func (e *Engine) sparse() *sparseCtx {
-	e.sparseOnce.Do(func() { e.sp = e.buildSparse() })
-	return e.sp
 }
 
 func (e *Engine) buildSparse() *sparseCtx {
-	nf := len(e.order)
+	nf := len(e.free)
 	sp := &sparseCtx{rowOf: make([]int32, len(e.names))}
 	for i := range sp.rowOf {
 		sp.rowOf[i] = -1
 	}
-	for k, i := range e.order {
+	for k, i := range e.free {
 		sp.rowOf[i] = int32(k)
 	}
 	row := func(node int32) int32 {
@@ -211,11 +145,8 @@ func (e *Engine) buildSparse() *sparseCtx {
 	return sp
 }
 
-// lease returns a recycled numeric workspace sized for this context.
-func (sp *sparseCtx) lease() *spWork {
-	if x := sp.pool.Get(); x != nil {
-		return x.(*spWork)
-	}
+// newWork allocates a numeric workspace sized for this context.
+func (sp *sparseCtx) newWork() *spWork {
 	nf := sp.sym.n
 	return &spWork{
 		num:   sp.sym.newNum(),
@@ -224,8 +155,6 @@ func (sp *sparseCtx) lease() *spWork {
 		delta: make([]float64, nf),
 	}
 }
-
-func (sp *sparseCtx) release(w *spWork) { sp.pool.Put(w) }
 
 // stampSystem assembles the Newton system at node voltages v: the
 // residual into w.rhs and the analytic Jacobian into w.aval. dt > 0
@@ -236,7 +165,8 @@ func (sp *sparseCtx) release(w *spWork) { sp.pool.Put(w) }
 // observes and may replace each channel current — the current only, so
 // injected NaNs poison the residual and fail fast while the Jacobian
 // stays finite. Returns the number of device evaluations performed.
-func (e *Engine) stampSystem(sp *sparseCtx, w *spWork, v, vprev []float64, dt, gmin float64, st *runState) int {
+func (e *Engine) stampSystem(w *spWork, v, vprev []float64, dt, gmin float64, st *runState) int {
+	sp := e.sp
 	aval, rhs := w.aval, w.rhs
 	for i := range aval {
 		aval[i] = 0
@@ -249,7 +179,7 @@ func (e *Engine) stampSystem(sp *sparseCtx, w *spWork, v, vprev []float64, dt, g
 	}
 
 	// Node-local terms: gmin load, and grounded caps when transient.
-	for k, i := range e.order {
+	for k, i := range e.free {
 		rhs[k] = -gmin * v[i]
 		aval[sp.diag[k]] -= gmin
 		if dt > 0 {

@@ -25,22 +25,11 @@ type StandbyResult struct {
 }
 
 // Standby computes the sleep-mode operating point of an MTCMOS circuit
-// with the reference engine's full-Newton DC solver. The floating
-// virtual ground and every node riding on it form a collective slow
-// mode that the transient loop's node-decoupled relaxation cannot
-// follow, so this is a genuine DC analysis: gmin-stepped Newton over
-// the whole network (see engine.OperatingPoint). Suitable for the
-// paper-scale circuits (tree, adders); the dense solve grows cubically
-// with node count.
+// with the reference engine's full-Newton DC solver: gmin-stepped
+// Newton over the whole network (see Engine.OperatingPoint), which
+// moves the floating virtual ground and every node riding on it as one
+// collective mode.
 func Standby(c *circuit.Circuit, inputs map[string]bool) (*StandbyResult, error) {
-	return StandbyWith(c, inputs, SolverAuto)
-}
-
-// StandbyWith is Standby with an explicit linear-kernel choice for the
-// DC solves: dense, sparse, or size-based auto. The warm-up transient
-// always uses the relaxation solver; only the Newton operating-point
-// analysis is affected.
-func StandbyWith(c *circuit.Circuit, inputs map[string]bool, solver Solver) (*StandbyResult, error) {
 	if c.SleepWL <= 0 {
 		return nil, fmt.Errorf("spice: standby analysis needs a sleep device")
 	}
@@ -54,67 +43,69 @@ func StandbyWith(c *circuit.Circuit, inputs map[string]bool, solver Solver) (*St
 			seed[netlist.CanonNode(k)] = c.Tech.Vdd
 		}
 	}
-
-	solve := func(sleepOff bool, seed map[string]float64) (*Engine, []float64, error) {
-		nl, err := c.Netlist(circuit.Stimulus{Old: inputs, New: inputs, SleepOff: sleepOff})
-		if err != nil {
-			return nil, nil, err
-		}
-		flat, err := nl.Flatten()
-		if err != nil {
-			return nil, nil, err
-		}
-		e, err := Compile(flat, c.Tech)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Two-stage solve: a short relaxation transient settles every
-		// individually-anchored node (strong conduction paths), giving
-		// the full Newton a consistent starting point from which only
-		// the collective floating-rail mode remains to move.
-		res, err := e.Run(Options{TStop: 2e-6, DTMax: 0.2e-6, InitialV: seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		warm := make(map[string]float64, len(e.names))
-		for _, name := range e.names {
-			warm[name] = res.Traces[name].Final()
-		}
-		v, err := e.OperatingPointWith(warm, 0, solver)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, v, nil
-	}
-
-	out := &StandbyResult{}
-	e, v, err := solve(false, seed)
+	nl, err := c.Netlist(circuit.Stimulus{Old: inputs, New: inputs})
 	if err != nil {
 		return nil, err
 	}
-	if i, ok := e.SupplyCurrent(v, circuit.NodeVdd); ok {
+	flat, err := nl.Flatten()
+	if err != nil {
+		return nil, err
+	}
+	active, err := Compile(flat, c.Tech)
+	if err != nil {
+		return nil, err
+	}
+	// The standby engine is the same circuit with the sleep gate at 0 V.
+	sleep, err := active.withSourceDC(circuit.NodeSleep, 0)
+	if err != nil {
+		return nil, err
+	}
+
+	// Two-stage solve: the warm-up transient gives the operating point
+	// a consistent starting point from which only the collective
+	// floating-rail mode remains to move.
+	solve := func(e *Engine, seed map[string]float64) ([]float64, error) {
+		v, err := e.settle(seed)
+		if err != nil {
+			return nil, err
+		}
+		v, _, err = e.operatingPoint(v, 0)
+		return v, err
+	}
+
+	out := &StandbyResult{}
+	v, err := solve(active, seed)
+	if err != nil {
+		return nil, err
+	}
+	if i, ok := active.SupplyCurrent(v, circuit.NodeVdd); ok {
 		out.Active = i
 	}
 
 	// Standby: seed the floating cluster high so Newton starts near
 	// the collapsed state.
-	sleepSeed := make(map[string]float64, len(seed)+8)
-	for k, x := range seed {
-		sleepSeed[k] = x
-	}
-	sleepSeed[circuit.NodeVGnd] = 0.8 * c.Tech.Vdd
-	e, v, err = solve(true, sleepSeed)
+	seed[circuit.NodeVGnd] = 0.8 * c.Tech.Vdd
+	v, err = solve(sleep, seed)
 	if err != nil {
 		return nil, err
 	}
-	if x, ok := e.NodeVoltage(v, circuit.NodeVGnd); ok {
+	if x, ok := sleep.NodeVoltage(v, circuit.NodeVGnd); ok {
 		out.VGndFloat = x
 	}
-	if i, ok := e.SupplyCurrent(v, circuit.NodeVdd); ok {
+	if i, ok := sleep.SupplyCurrent(v, circuit.NodeVdd); ok {
 		out.Standby = i
 	}
 	if out.Standby > 0 {
 		out.Reduction = out.Active / out.Standby
 	}
 	return out, nil
+}
+
+// settle is Standby's warm-up: a short transient from seed that
+// settles every individually anchored node (strong conduction paths).
+// It records no traces and returns the final node voltages.
+func (e *Engine) settle(seed map[string]float64) ([]float64, error) {
+	v := make([]float64, len(e.names))
+	_, err := e.run(Options{TStop: 2e-6, DTMax: 0.2e-6, InitialV: seed, Record: []string{}}, v)
+	return v, err
 }

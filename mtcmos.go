@@ -247,31 +247,6 @@ func Standby(c *Circuit, inputs map[string]bool) (*StandbyResult, error) {
 	return spice.Standby(c, inputs)
 }
 
-// StandbyWith is Standby with an explicit solver-kernel choice for the
-// DC analysis.
-func StandbyWith(c *Circuit, inputs map[string]bool, solver Solver) (*StandbyResult, error) {
-	return spice.StandbyWith(c, inputs, solver)
-}
-
-// Solver selects the reference engine's equation-solver kernel: the
-// analytic-stamp sparse Newton kernel, the numeric-probe dense oracle,
-// or size-based auto selection (EngineOptions.Solver for transients,
-// StandbyWith for DC analyses; -solver on the command-line tools).
-type Solver = spice.Solver
-
-// The solver kernels. SolverAuto picks by circuit size (and keeps the
-// relaxation solver for transients); SolverDense and SolverSparse
-// force a matrix kernel.
-const (
-	SolverAuto   = spice.SolverAuto
-	SolverDense  = spice.SolverDense
-	SolverSparse = spice.SolverSparse
-)
-
-// ParseSolver parses a -solver flag value: "auto" (or empty), "dense"
-// or "sparse".
-func ParseSolver(s string) (Solver, error) { return spice.ParseSolver(s) }
-
 // Netlist is a parsed SPICE-dialect deck; see ParseNetlist.
 type Netlist = netlist.Netlist
 
@@ -298,7 +273,7 @@ type EngineOptions = spice.Options
 // Typed failure classes returned (wrapped) by both simulators and the
 // sizing search; test with errors.Is. See DESIGN.md §8.
 var (
-	// ErrNoConvergence: the relaxation solver gave up after the whole
+	// ErrNoConvergence: the Newton step solver gave up after the whole
 	// recovery ladder was exhausted.
 	ErrNoConvergence = simerr.ErrNoConvergence
 	// ErrNumerical: a NaN/Inf poisoned a node update (failed fast).
@@ -331,8 +306,8 @@ type RecoveryStats = spice.RecoveryStats
 // escalation order.
 type RecoveryRung = spice.Rung
 
-// The ladder rungs: timestep back-off, Gauss-Seidel under-relaxation,
-// Gmin conductance stepping, source ramping.
+// The ladder rungs: timestep back-off, damped Newton, Gmin
+// conductance stepping, source ramping.
 const (
 	RungNone       = spice.RungNone
 	RungBackoff    = spice.RungBackoff

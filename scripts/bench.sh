@@ -4,8 +4,7 @@
 # CPU, so `-cpu N` IS the pool size) plus the compiled-engine reuse
 # micro-benchmarks, and writes the results to BENCH_parallel.json.
 # It also times the exclusion-refinement experiment (mtexp -e refine)
-# and writes its bound ladder plus wall time to BENCH_refine.json, and
-# the dense-vs-sparse Newton kernel comparison to BENCH_kernel.json.
+# and writes its bound ladder plus wall time to BENCH_refine.json.
 #
 #   BENCH_CPUS  comma list for go test -cpu   (default 1,2,4,8)
 #   BENCH_TIME  go test -benchtime            (default 1x; use e.g. 5x
@@ -132,61 +131,3 @@ END {
 }' > "$ROUT"
 
 echo "wrote $ROUT"
-
-KOUT="BENCH_kernel.json"
-kernelout=$(go test -run '^$' \
-    -bench 'BenchmarkKernel' \
-    -benchmem -benchtime "${BENCH_TIME}" -timeout 30m ./internal/spice | tee /dev/stderr)
-
-# Each case runs under both linear kernels (sub-benchmark name =
-# solver); the custom metrics attribute any speedup: equal Newton
-# iterations with cheaper iterations means the analytic sparse stamp
-# is doing the same math faster, not converging differently.
-printf '%s\n' "$kernelout" | awk -v btime="$BENCH_TIME" '
-/^BenchmarkKernel/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    split(name, parts, "/")
-    kase = parts[1]
-    sub(/^BenchmarkKernel/, "", kase)
-    solver = parts[2]
-    ns = bpo = apo = ""
-    iters = evals = 0
-    for (i = 2; i <= NF; i++) {
-        if ($(i+1) == "ns/op") ns = $i
-        if ($(i+1) == "newton-iters/op") iters = $i
-        if ($(i+1) == "mos-evals/op") evals = $i
-        if ($(i+1) == "B/op") bpo = $i
-        if ($(i+1) == "allocs/op") apo = $i
-    }
-    if (ns == "" || bpo == "" || apo == "") next
-    n++
-    row[n] = sprintf("    {\"case\": \"%s\", \"solver\": \"%s\", \"ns_per_op\": %s, \"newton_iters_per_op\": %s, \"mos_evals_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-        kase, solver, ns, iters, evals, bpo, apo)
-    ns_of[kase "@" solver] = ns
-    if (!(kase in seen)) { order[++nk] = kase; seen[kase] = 1 }
-}
-END {
-    printf "{\n"
-    printf "  \"generated_by\": \"scripts/bench.sh\",\n"
-    printf "  \"benchtime\": \"%s\",\n", btime
-    printf "  \"note\": \"DC-heavy workloads under the numeric-probe dense oracle vs the analytic-stamp sparse Newton kernel; equal newton_iters with lower ns/op = same convergence path, cheaper iteration\",\n"
-    printf "  \"kernels\": [\n"
-    for (i = 1; i <= n; i++) printf "%s%s\n", row[i], (i < n ? "," : "")
-    printf "  ],\n"
-    printf "  \"speedups\": [\n"
-    first = 1
-    for (i = 1; i <= nk; i++) {
-        kase = order[i]
-        d = ns_of[kase "@dense"]
-        s = ns_of[kase "@sparse"]
-        if (d == "" || s == "" || s == 0) continue
-        if (!first) printf ",\n"
-        first = 0
-        printf "    {\"case\": \"%s\", \"dense_ns\": %s, \"sparse_ns\": %s, \"sparse_speedup\": %.2f}", kase, d, s, d / s
-    }
-    printf "\n  ]\n"
-    printf "}\n"
-}' > "$KOUT"
-
-echo "wrote $KOUT"
