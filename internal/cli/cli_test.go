@@ -239,6 +239,24 @@ func TestSimWLSweep(t *testing.T) {
 	}
 }
 
+// TestSimWLSweepLintsEveryEntry: a negative W/L anywhere in a -wl
+// sweep is refused by MT007 as it is on its own, naming the entry;
+// -nolint still runs the sweep.
+func TestSimWLSweepLintsEveryEntry(t *testing.T) {
+	var buf bytes.Buffer
+	err := Sim([]string{"-circuit", "tree", "-wl", "0,5,-1"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "MT007") || !strings.Contains(err.Error(), "W/L -1") {
+		t.Fatalf("sweep with W/L -1: err = %v, want an MT007 finding naming -1\n%s", err, buf.String())
+	}
+	buf.Reset()
+	if err := Sim([]string{"-circuit", "tree", "-wl", "0,5,-1", "-nolint"}, &buf); err != nil {
+		t.Fatalf("-nolint sweep: %v", err)
+	}
+	if !strings.Contains(buf.String(), "sleep-size sweep") {
+		t.Errorf("-nolint sweep printed no table:\n%s", buf.String())
+	}
+}
+
 func TestExpWorkersFlag(t *testing.T) {
 	run := func(jobs string) string {
 		var buf bytes.Buffer

@@ -81,13 +81,17 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	c.SleepWL = wls[0]
 	c.VGndCap = *cx
 	if !*nolint {
-		if err := lintCircuit(c, stim.Old, stim.New); err != nil {
-			return err
+		// Every sweep entry passes the gate a single -wl would.
+		for _, wl := range wls {
+			c.SleepWL = wl
+			if err := lintCircuit(c, stim.Old, stim.New); err != nil {
+				return err
+			}
 		}
 	}
+	c.SleepWL = wls[0]
 
 	if len(wls) > 1 {
 		if *engine != "vbs" {

@@ -46,12 +46,6 @@ type Options struct {
 	// noise-margin loss.
 	ReverseConduction bool
 
-	// MaxVxStep bounds the virtual-ground voltage change between
-	// breakpoints when the circuit has a parasitic VGndCap (paper
-	// section 2.2); extra breakpoints are inserted as needed.
-	// Default 20mV.
-	MaxVxStep float64
-
 	// TraceNets records piecewise-linear waveforms for these nets;
 	// TraceAll records every net. The virtual ground and total sleep
 	// current are always recorded in MTCMOS mode.
@@ -103,9 +97,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.MaxVxStep <= 0 {
-		out.MaxVxStep = 0.02
-	}
 	if out.MaxEvents <= 0 {
 		out.MaxEvents = 2_000_000
 	}
@@ -449,8 +440,10 @@ func (s *sim) retarget(i int) bool {
 // its logic level is resolved by transition direction.
 const vtol = 1e-9
 
-// debugVBS enables zero-dt diagnostics; only for development.
-var debugVBS = false
+// maxVxStep bounds the virtual-ground voltage change between
+// breakpoints when the circuit has a parasitic VGndCap (paper section
+// 2.2); extra breakpoints are inserted as needed.
+const maxVxStep = 0.02 // 20 mV
 
 func (s *sim) run(stim circuit.Stimulus) error {
 	// railTol snaps voltages to the rails: accumulated floating-point
@@ -567,7 +560,7 @@ func (s *sim) run(stim circuit.Stimulus) error {
 		if s.anyRelax {
 			for di := range s.doms {
 				if sl := math.Abs(s.vxSlope[di]); sl > 1e-9 {
-					if lim := t + s.o.MaxVxStep/sl; lim < next {
+					if lim := t + maxVxStep/sl; lim < next {
 						next = lim
 					}
 				}
@@ -587,16 +580,6 @@ func (s *sim) run(stim circuit.Stimulus) error {
 		}
 		dt := next - t
 		s.tNow = next
-		if debugVBS && dt == 0 {
-			fmt.Printf("ZERO-DT at t=%.17e\n", t)
-			for i := range s.st {
-				g := &s.st[i]
-				if g.d != idle {
-					fmt.Printf("  gate %s d=%d v=%.17e (v-Vdd=%.3e, v=%.3e) slope=%.3e\n",
-						s.c.Gates[i].Name, g.d, g.v, g.v-s.tech.Vdd, g.v, g.slope)
-				}
-			}
-		}
 		t = next
 		s.res.Events++
 		if s.o.Probe != nil {
@@ -851,6 +834,3 @@ func perGateCurrents(tech *mosfet.Tech, vx float64, betas []float64, body bool) 
 	}
 	return out
 }
-
-// SetDebug toggles zero-dt diagnostics; only for development.
-func SetDebug(v bool) { debugVBS = v }

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (see DESIGN.md section 4 for the index). Each
 // experiment is a pure function from a Config to an Output holding
-// tables and series; cmd/mtexp prints them and bench_test.go times
-// them.
+// tables and series; cmd/mtexp prints them, and the repository
+// benchmark's paper workload times them.
 package experiments
 
 import (

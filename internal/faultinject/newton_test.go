@@ -37,7 +37,8 @@ func TestBaselineConvergesSparseNewton(t *testing.T) {
 // clears only at a given rung, with the sparse Newton kernel solving
 // every attempt. The alternating bias shifts the stamped residual by
 // ±Magnitude between Newton iterations, so the update vector never
-// settles below VTol until the rung that clears the fault.
+// settles below the 20 µV convergence tolerance until the rung that
+// clears the fault.
 func TestEachRungRescuesSparseNewton(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -195,17 +195,6 @@ func (d Device) IdsAlpha(vgs, vsb float64) float64 {
 	return 0.5 * d.Beta() * math.Pow(t.Vdd, 2-t.Alpha) * math.Pow(vov, t.Alpha)
 }
 
-// Gds returns the numeric output conductance dIds/dVds at the operating
-// point, used by Newton solves. It is always at least gmin.
-func (d Device) Gds(vgs, vds, vsb, gmin float64) float64 {
-	const h = 1e-5
-	g := (d.Ids(vgs, vds+h, vsb) - d.Ids(vgs, vds-h, vsb)) / (2 * h)
-	if g < gmin {
-		return gmin
-	}
-	return g
-}
-
 // Leakage returns the subthreshold (sleep-mode) current of the device at
 // vgs=0 with vds=full rail: the paper's idle-state leakage that MTCMOS
 // exists to suppress.

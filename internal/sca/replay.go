@@ -160,10 +160,6 @@ func (r *Replay) netValue(n string) bool {
 // State returns the replayed drive state of a net.
 func (r *Replay) State(n string) NetState { return r.state[n] }
 
-// Conducts reports whether a device's channel conducts under the
-// model.
-func (r *Replay) Conducts(device string) bool { return r.conducts[device] }
-
 // Connected reports whether two nets are joined by conducting
 // channels under the model.
 func (r *Replay) Connected(x, y string) bool {

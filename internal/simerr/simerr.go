@@ -102,8 +102,8 @@ func IsRecoverable(err error) bool {
 		errors.Is(err, ErrInternal)
 }
 
-// kindNames maps each sentinel onto its stable wire name, used by the
-// shard frame codec to carry classified failures across a stream.
+// kindNames maps each sentinel onto a stable wire name. Nothing outside
+// this package reads them; ROADMAP item 3 schedules their removal.
 var kindNames = []struct {
 	kind error
 	name string

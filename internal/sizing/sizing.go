@@ -225,13 +225,17 @@ type DelayTargetResult struct {
 	Warnings []string // skipped transitions and degrade reasons
 }
 
+// positiveFinite reports whether a sizing budget is usable: NaN passes
+// a plain x <= 0 guard, and neither NaN nor +Inf bounds a search.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // DelayTarget finds the smallest sleep-transistor W/L whose worst-case
 // degradation over the transitions does not exceed target (e.g. 0.05
 // for the paper's 5% budget), by bisection over log W/L. The search
 // space is [1, hi]; hi defaults to 64x the sum-of-widths bound, far
 // into ideal-ground territory.
 func DelayTarget(c *circuit.Circuit, cfg Config, trs []Transition, target, hi float64) (*DelayTargetResult, error) {
-	if target <= 0 {
+	if !positiveFinite(target) {
 		return nil, fmt.Errorf("sizing: target degradation must be positive, got %g", target)
 	}
 	cf := cfg.withDefaults(c)
@@ -332,7 +336,7 @@ type PeakCurrentResult struct {
 // switch-level simulator in plain-CMOS mode (ideal ground), which is
 // the worst case for current magnitude.
 func PeakCurrent(c *circuit.Circuit, cfg Config, trs []Transition, maxBounce float64) (*PeakCurrentResult, error) {
-	if maxBounce <= 0 {
+	if !positiveFinite(maxBounce) {
 		return nil, fmt.Errorf("sizing: maxBounce must be positive, got %g", maxBounce)
 	}
 	cf := cfg.withDefaults(c)

@@ -3,6 +3,8 @@ package sizing
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"mtcmos/internal/circuits"
@@ -104,6 +106,24 @@ func TestDelayTargetValidation(t *testing.T) {
 	// Impossible target with tiny hi bound.
 	if _, err := DelayTarget(c, Config{}, treeTransitions(), 0.001, 1.5); err == nil {
 		t.Error("unreachable target must fail with a helpful error")
+	}
+}
+
+// TestBudgetsMustBeFiniteAndPositive: both sizing entry points refuse
+// a budget that is not a finite positive number. NaN passes a plain
+// <= 0 guard and would size to the bisection ceiling (DelayTarget) or
+// a NaN W/L (PeakCurrent); an infinite delay budget would size to 1.
+func TestBudgetsMustBeFiniteAndPositive(t *testing.T) {
+	c := circuits.InverterTree(tech07(), 3, 3, 50e-15)
+	for _, budget := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(budget), func(t *testing.T) {
+			if res, err := DelayTarget(c, Config{}, treeTransitions(), budget, 0); err == nil {
+				t.Errorf("DelayTarget(target %g) = W/L %g, want an error", budget, res.WL)
+			}
+			if res, err := PeakCurrent(c, Config{}, treeTransitions(), budget); err == nil {
+				t.Errorf("PeakCurrent(maxBounce %g) = W/L %g, want an error", budget, res.WL)
+			}
+		})
 	}
 }
 

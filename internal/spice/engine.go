@@ -38,11 +38,6 @@ type Options struct {
 
 	DTMax float64 // max timestep (default 5ps)
 	DTMin float64 // min timestep before giving up (default 1as)
-	Cmin  float64 // per-node capacitance floor (default 0.1fF)
-
-	// Convergence control.
-	VTol     float64 // Newton convergence: largest voltage update (default 20uV)
-	MaxSweep int     // Newton iterations per step attempt (default 60)
 
 	// Record lists node names to trace; nil records every node.
 	Record []string
@@ -74,8 +69,8 @@ type Options struct {
 	// MaxWall bounds wall-clock time (0 = unlimited), checked between
 	// step attempts.
 	MaxWall time.Duration
-	// Recovery tunes the convergence-recovery ladder; the zero value
-	// enables every rung.
+	// Recovery can disable the convergence-recovery ladder; the zero
+	// value enables every rung.
 	Recovery Recovery
 	// Intercept, when non-nil, observes and may replace every MOS
 	// current evaluation (fault injection; see internal/faultinject).
@@ -90,16 +85,6 @@ func (o *Options) withDefaults() Options {
 	if out.DTMin <= 0 {
 		out.DTMin = 1e-18
 	}
-	if out.Cmin <= 0 {
-		out.Cmin = 0.1e-15
-	}
-	if out.VTol <= 0 {
-		out.VTol = 20e-6
-	}
-	if out.MaxSweep <= 0 {
-		out.MaxSweep = 60
-	}
-	out.Recovery = out.Recovery.withDefaults()
 	return out
 }
 
@@ -369,13 +354,6 @@ func deviceFor(tech *mosfet.Tech, m netlist.MOS) (mosfet.Device, error) {
 	default:
 		return mosfet.Device{}, fmt.Errorf("spice: device %s: unknown model %q", m.Name, m.Model)
 	}
-}
-
-// NodeNames returns all node names known to the engine, sorted.
-func (e *Engine) NodeNames() []string {
-	out := append([]string(nil), e.names...)
-	sort.Strings(out)
-	return out
 }
 
 // mosCurrents returns the current flowing into the drain and source

@@ -66,9 +66,9 @@ func TestRCChargeThroughSource(t *testing.T) {
 
 func TestFloatingCapDivider(t *testing.T) {
 	// A floating cap between a stepped source and a grounded cap forms
-	// a capacitive divider: dV_a = dV_in * C1/(C1+C2+Cmin).
+	// a capacitive divider: dV_a = dV_in * C1/(C1+C2).
 	f := flatten(t, "cdiv\nV1 in 0 PWL(0 0 1n 0 1.01n 1)\nC1 in a 1p\nC2 a 0 1p\n")
-	res, err := Simulate(f, tech07(), Options{TStop: 2e-9, Cmin: 1e-18})
+	res, err := Simulate(f, tech07(), Options{TStop: 2e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,8 @@ func TestRunOptionValidation(t *testing.T) {
 }
 
 func TestFloatingNodeHoldsCharge(t *testing.T) {
-	// A node with only Cmin and no conduction path keeps its seed.
+	// A node with only a grounded cap and no conduction path keeps its
+	// seed.
 	f := flatten(t, "hold\nC1 a 0 1f\n")
 	res, err := Simulate(f, tech07(), Options{TStop: 1e-9, InitialV: map[string]float64{"a": 0.7}})
 	if err != nil {

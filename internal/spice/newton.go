@@ -14,13 +14,22 @@ import "math"
 // lambda has already moved the fixed source nodes to partial targets
 // before this solver runs (RungSourceRamp).
 
-// solveNewton solves one timestep attempt: at most a.maxSweep Newton
+// Newton control: an attempt converges when its largest applied
+// voltage move falls below vTol. Attempts on the normal path and the
+// back-off rung run at most maxIters iterations; recovery rungs 2–4
+// allow twice that.
+const (
+	vTol     = 20e-6 // 20 µV
+	maxIters = 60
+)
+
+// solveNewton solves one timestep attempt: at most a.maxIter Newton
 // iterations, converged when the largest applied voltage move falls
-// below VTol. A non-finite residual is device poison and fails fast
+// below vTol. A non-finite residual is device poison and fails fast
 // with its node named; a non-finite update of a finite system is an
 // ill-conditioned step, reported as non-converged so the recovery
 // ladder can retry it.
-func (e *Engine) solveNewton(o *Options, st *runState, a attempt) sweepOut {
+func (e *Engine) solveNewton(st *runState, a attempt) sweepOut {
 	out := sweepOut{worst: -1}
 	if len(e.free) == 0 {
 		out.converged = true
@@ -31,7 +40,7 @@ func (e *Engine) solveNewton(o *Options, st *runState, a attempt) sweepOut {
 	// Per-node step limiter: no update moves a node by more than half
 	// the rail window.
 	lim := 0.5 * (math.Abs(e.tech.Vdd) + 1)
-	for ; out.sweeps < a.maxSweep; out.sweeps++ {
+	for ; out.sweeps < a.maxIter; out.sweeps++ {
 		st.einfo.Sweep = out.sweeps
 		e.stampSystem(w, vtrial, st.vprev, a.dt, a.gmin, st)
 		for k, f := range w.rhs {
@@ -57,7 +66,7 @@ func (e *Engine) solveNewton(o *Options, st *runState, a attempt) sweepOut {
 				out.worst = i
 			}
 		}
-		if maxDelta < o.VTol {
+		if maxDelta < vTol {
 			out.converged = true
 			out.sweeps++
 			break

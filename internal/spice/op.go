@@ -47,10 +47,9 @@ const (
 
 // OPStats reports what a DC solve cost.
 type OPStats struct {
-	Iterations     int  // Newton iterations across the gmin ladder
-	Evals          int  // device (MOS) model evaluations
-	Factorizations int  // sparse numeric refactorizations
-	Ramped         bool // cold start needed the supply-ramp rescue
+	Iterations int  // Newton iterations (one refactorization each)
+	Evals      int  // device (MOS) model evaluations
+	Ramped     bool // cold start needed the supply-ramp rescue
 }
 
 // OperatingPoint computes the DC steady state of the compiled circuit
@@ -152,7 +151,6 @@ func (e *Engine) opLadder(w *spWork, v []float64, stats *OPStats) error {
 	newton := func() []float64 {
 		sym.refactor(w.num, w.aval)
 		sym.solve(w.num, w.rhs, w.delta)
-		stats.Factorizations++
 		stats.Iterations++
 		return w.delta
 	}

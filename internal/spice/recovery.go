@@ -49,36 +49,25 @@ func (r Rung) String() string {
 	}
 }
 
-// Recovery tunes the convergence-recovery ladder. The zero value
-// enables every rung at its default strength.
+// Recovery configures the convergence-recovery ladder. The zero value
+// enables every rung at the fixed strengths below.
 type Recovery struct {
 	// Disable restores the historical behavior: fail with
 	// ErrNoConvergence as soon as timestep back-off reaches DTMin.
 	Disable bool
-	// DampingLevels is how many damped-Newton retries to attempt
-	// (omega = 1/2, 1/4, ...). Default 2.
-	DampingLevels int
-	// GminLadder is the conductance-stepping schedule in siemens,
-	// largest first; a final gmin = 0 solve is always appended.
-	// Default {1e-3, 1e-6, 1e-9, 1e-12}.
-	GminLadder []float64
-	// SourceRampSteps is how many fractions the source change is
-	// split into on the last rung. Default 4.
-	SourceRampSteps int
 }
 
-func (r Recovery) withDefaults() Recovery {
-	if r.DampingLevels <= 0 {
-		r.DampingLevels = 2
-	}
-	if r.GminLadder == nil {
-		r.GminLadder = []float64{1e-3, 1e-6, 1e-9, 1e-12}
-	}
-	if r.SourceRampSteps <= 0 {
-		r.SourceRampSteps = 4
-	}
-	return r
-}
+// dampingLevels is how many damped-Newton retries rung 2 attempts
+// (omega = 1/2, 1/4, ...).
+const dampingLevels = 2
+
+// gminLadder is rung 3's conductance-stepping schedule in siemens,
+// largest first; a final gmin = 0 solve is always appended.
+var gminLadder = []float64{1e-3, 1e-6, 1e-9, 1e-12}
+
+// sourceRampSteps is how many fractions rung 4 splits the source
+// change into.
+const sourceRampSteps = 4
 
 // RecoveryStats counts ladder activity over a run.
 type RecoveryStats struct {
@@ -129,7 +118,7 @@ type attempt struct {
 	omega    float64 // Newton damping factor (1 = undamped)
 	gmin     float64 // shunt conductance to ground on free nodes
 	lambda   float64 // fraction of the source move toward t+dt applied
-	maxSweep int
+	maxIter  int     // Newton iteration cap
 	rung     Rung
 	keepSeed bool // keep vtrial from the previous attempt as the seed
 }
@@ -181,7 +170,7 @@ func (e *Engine) checkBudgets(o *Options, st *runState) error {
 
 // attemptStep seeds vtrial, applies the (possibly ramped) source
 // values for t+dt, and runs the Newton step solver.
-func (e *Engine) attemptStep(o *Options, st *runState, a attempt) sweepOut {
+func (e *Engine) attemptStep(st *runState, a attempt) sweepOut {
 	copy(st.vprev, st.v)
 	if !a.keepSeed {
 		copy(st.vtrial, st.v)
@@ -199,7 +188,7 @@ func (e *Engine) attemptStep(o *Options, st *runState, a attempt) sweepOut {
 		st.vtrial[s.node] = target
 	}
 	st.einfo = EvalInfo{T: tNew, Dt: a.dt, Rung: a.rung}
-	return e.solveNewton(o, st, a)
+	return e.solveNewton(st, a)
 }
 
 // advance takes one timestep of at most dtTry from st.t, climbing the
@@ -233,8 +222,8 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		if err := e.checkBudgets(o, st); err != nil {
 			return err
 		}
-		a := attempt{dt: dtTry, omega: 1, lambda: 1, maxSweep: o.MaxSweep, rung: rung}
-		out := e.attemptStep(o, st, a)
+		a := attempt{dt: dtTry, omega: 1, lambda: 1, maxIter: maxIters, rung: rung}
+		out := e.attemptStep(st, a)
 		st.res.Sweeps += out.sweeps
 		if out.nan {
 			return e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
@@ -260,9 +249,9 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 
 	// Rung 2: damped Newton at the minimum viable timestep.
 	omega := 0.5
-	for k := 0; k < o.Recovery.DampingLevels; k++ {
-		a := attempt{dt: dtd, omega: omega, lambda: 1, maxSweep: 2 * o.MaxSweep, rung: RungDamping}
-		out := e.attemptStep(o, st, a)
+	for k := 0; k < dampingLevels; k++ {
+		a := attempt{dt: dtd, omega: omega, lambda: 1, maxIter: 2 * maxIters, rung: RungDamping}
+		out := e.attemptStep(st, a)
 		st.res.Sweeps += out.sweeps
 		if out.nan {
 			return e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
@@ -278,7 +267,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 
 	// Rung 3: Gmin conductance stepping, each solve seeding the next,
 	// ending at the physical gmin = 0.
-	if ok, out, a, err := e.homotopy(o, st, dtd, RungGmin, o.Recovery.GminLadder); err != nil {
+	if ok, out, a, err := e.homotopy(o, st, dtd, RungGmin); err != nil {
 		return err
 	} else if ok {
 		st.res.Recovery.GminSteps++
@@ -290,7 +279,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 
 	// Rung 4: source ramping — apply the step's source change in
 	// fractions, carrying the solution forward.
-	if ok, out, a, err := e.homotopy(o, st, dtd, RungSourceRamp, nil); err != nil {
+	if ok, out, a, err := e.homotopy(o, st, dtd, RungSourceRamp); err != nil {
 		return err
 	} else if ok {
 		st.res.Recovery.SourceRamps++
@@ -307,18 +296,17 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 // problems whose converged solutions seed one another. The final
 // problem of the sequence is the physical one, so its solution (when
 // every stage converges) is a legitimate step.
-func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung, gmins []float64) (bool, sweepOut, attempt, error) {
+func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung) (bool, sweepOut, attempt, error) {
 	var stages []attempt
 	switch rung {
 	case RungGmin:
-		for _, g := range gmins {
-			stages = append(stages, attempt{dt: dt, omega: 0.5, gmin: g, lambda: 1, maxSweep: 2 * o.MaxSweep, rung: rung})
+		for _, g := range gminLadder {
+			stages = append(stages, attempt{dt: dt, omega: 0.5, gmin: g, lambda: 1, maxIter: 2 * maxIters, rung: rung})
 		}
-		stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: 1, maxSweep: 2 * o.MaxSweep, rung: rung})
+		stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: 1, maxIter: 2 * maxIters, rung: rung})
 	case RungSourceRamp:
-		n := o.Recovery.SourceRampSteps
-		for k := 1; k <= n; k++ {
-			stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: float64(k) / float64(n), maxSweep: 2 * o.MaxSweep, rung: rung})
+		for k := 1; k <= sourceRampSteps; k++ {
+			stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: float64(k) / sourceRampSteps, maxIter: 2 * maxIters, rung: rung})
 		}
 	}
 	var out sweepOut
@@ -329,7 +317,7 @@ func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung, gmins
 		}
 		stage.keepSeed = i > 0
 		a = stage
-		out = e.attemptStep(o, st, a)
+		out = e.attemptStep(st, a)
 		st.res.Sweeps += out.sweeps
 		if out.nan {
 			return false, out, a, e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")

@@ -134,9 +134,9 @@ func TestPathologicalDecks(t *testing.T) {
 		wantNode bool
 	}{
 		{
-			// The gate node fg floats: nothing defines its voltage but
-			// the Cmin floor, so the channel current of the devices it
-			// drives is garbage — modelled here as a NaN evaluation
+			// The gate node fg floats: no capacitance or conduction
+			// path defines its voltage, so the channel current of the
+			// devices it drives is garbage — modelled here as a NaN evaluation
 			// once the transient is underway. The numerical guard must
 			// fail fast, naming the poisoned node.
 			name: "floating gate driving a device",
@@ -149,9 +149,9 @@ func TestPathologicalDecks(t *testing.T) {
 			wantNode: true,
 		},
 		{
-			// The output node carries no explicit capacitance, so only
-			// the Cmin floor bounds its update; with recovery disabled
-			// a jittering device current makes the edge step
+			// The output node carries no capacitance, so no companion
+			// stamp damps its update; with recovery disabled a
+			// jittering device current makes the edge step
 			// unconvergeable.
 			name: "zero-capacitance node",
 			deck: "zerocap\nVdd vdd 0 DC 1.2\n" +

@@ -21,7 +21,7 @@ func checkKCL(t *testing.T, e *Engine, seed map[string]float64) {
 	if err != nil {
 		t.Fatalf("operating point: %v", err)
 	}
-	if st.Factorizations == 0 || st.Evals == 0 {
+	if st.Iterations == 0 || st.Evals == 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
 	for _, i := range e.free {

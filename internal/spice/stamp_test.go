@@ -149,8 +149,8 @@ func TestStampMatchesNumericJacobianDC(t *testing.T) {
 }
 
 // TestStampMatchesNumericJacobianTransient adds the backward-Euler
-// companion stamps (grounded caps, floating caps; Cmin is not
-// stamped) and checks against kclResidual.
+// companion stamps (grounded and floating caps) and checks against
+// kclResidual.
 func TestStampMatchesNumericJacobianTransient(t *testing.T) {
 	e, err := Compile(flatten(t, stampDeck), tech07())
 	if err != nil {

@@ -294,8 +294,8 @@ type SimError = simerr.Error
 // configuration error or a deliberate cancellation.
 func IsRecoverable(err error) bool { return simerr.IsRecoverable(err) }
 
-// RecoveryConfig tunes the reference engine's convergence-recovery
-// ladder (EngineOptions.Recovery).
+// RecoveryConfig can disable the reference engine's convergence-recovery
+// ladder (EngineOptions.Recovery); the rung strengths are fixed.
 type RecoveryConfig = spice.Recovery
 
 // RecoveryStats counts, per run, how often each recovery rung fired
