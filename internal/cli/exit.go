@@ -60,6 +60,16 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
+// checkWidth refuses, as a usage error naming the flag, an operand
+// width below what the circuit generator can build; 0 keeps meaning
+// the default width.
+func checkWidth(flagName string, v, least int) error {
+	if v != 0 && v < least {
+		return fmt.Errorf("%w: -%s %d: the width must be at least %d (0 = default)", errUsage, flagName, v, least)
+	}
+	return nil
+}
+
 // budgetCtx applies the -timeout flag as a deadline whose cause is a
 // budget error: an overrun classifies as ErrBudget (exit 4), keeping
 // it distinct from a Ctrl-C cancellation (exit 5).

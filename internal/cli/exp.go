@@ -47,6 +47,15 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		printVersion(w, "mtexp")
 		return nil
 	}
+	// mtexp reports errors on w, not through its caller.
+	err = checkWidth("mult", *multN, 2)
+	if err == nil {
+		err = checkWidth("adder", *adderN, 1)
+	}
+	if err != nil {
+		fmt.Fprintln(w, "mtexp:", err)
+		return err
+	}
 	prof, err := profF.start()
 	if err != nil {
 		return err

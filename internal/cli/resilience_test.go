@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -43,6 +44,38 @@ func TestUsageErrorExitCode(t *testing.T) {
 	err = Size([]string{"-no-such-flag"}, &buf)
 	if ExitCode(err) != ExitUsage {
 		t.Fatalf("mtsize bad flag must map to ExitUsage, got %d", ExitCode(err))
+	}
+}
+
+// TestOperandWidthIsAUsageError: a width the circuit generators
+// cannot build is refused before they run, as a usage error naming
+// the flag and its minimum. mtexp, whose main prints no error, also
+// prints it on its output.
+func TestOperandWidthIsAUsageError(t *testing.T) {
+	cases := []struct {
+		tool string
+		run  func([]string, io.Writer) error
+		args []string
+		want string
+	}{
+		{"mtsim", Sim, []string{"-circuit", "chain", "-bits", "-3"}, "-bits -3: the width must be at least 1"},
+		{"mtsim", Sim, []string{"-circuit", "adder", "-bits", "-2"}, "-bits -2: the width must be at least 1"},
+		{"mtsim", Sim, []string{"-circuit", "mult", "-bits", "1"}, "-bits 1: the width must be at least 2"},
+		{"mtsize", Size, []string{"-circuit", "adder", "-bits", "-1"}, "-bits -1: the width must be at least 1"},
+		{"mtsize", Size, []string{"-circuit", "mult", "-bits", "1"}, "-bits 1: the width must be at least 2"},
+		{"mtsize", Size, []string{"-circuit", "select", "-bits", "-1"}, "-bits -1: the width must be at least 1"},
+		{"mtexp", Exp, []string{"-e", "fig7", "-fast", "-mult", "1"}, "-mult 1: the width must be at least 2"},
+		{"mtexp", Exp, []string{"-e", "fig13", "-fast", "-adder", "-1"}, "-adder -1: the width must be at least 1"},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		err := tc.run(tc.args, &buf)
+		if ExitCode(err) != ExitUsage || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: err = %v (exit %d), want a usage error containing %q", tc.tool, tc.args, err, ExitCode(err), tc.want)
+		}
+		if tc.tool == "mtexp" && !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("%s %v printed %q, want the error", tc.tool, tc.args, buf.String())
+		}
 	}
 }
 

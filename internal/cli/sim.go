@@ -230,6 +230,9 @@ func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mt
 		stim.New = map[string]bool{"in": newS != "0"}
 		return c, stim, outNames(c), nil
 	case "chain":
+		if err := checkWidth("bits", bits, 1); err != nil {
+			return nil, stim, nil, err
+		}
 		tech := mtcmos.Tech07()
 		n := bits
 		if n == 0 {
@@ -240,6 +243,9 @@ func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mt
 		stim.New = map[string]bool{"in": newS != "0"}
 		return c, stim, outNames(c), nil
 	case "adder":
+		if err := checkWidth("bits", bits, 1); err != nil {
+			return nil, stim, nil, err
+		}
 		tech := mtcmos.Tech07()
 		if bits == 0 {
 			bits = 3
@@ -257,6 +263,9 @@ func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mt
 		stim.New = ad.Inputs(na, nb, false)
 		return ad.Circuit, stim, outNames(ad.Circuit), nil
 	case "mult":
+		if err := checkWidth("bits", bits, 2); err != nil {
+			return nil, stim, nil, err
+		}
 		tech := mtcmos.Tech03()
 		if bits == 0 {
 			bits = 8

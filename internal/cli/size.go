@@ -188,6 +188,9 @@ func build(kind string, bits, nvec int, seed int64) (*mtcmos.Circuit, mtcmos.Siz
 		}
 		return c, mtcmos.SizingConfig{}, trs, nil
 	case "adder":
+		if err := checkWidth("bits", bits, 1); err != nil {
+			return nil, mtcmos.SizingConfig{}, nil, err
+		}
 		tech := mtcmos.Tech07()
 		if bits == 0 {
 			bits = 3
@@ -209,6 +212,9 @@ func build(kind string, bits, nvec int, seed int64) (*mtcmos.Circuit, mtcmos.Siz
 		}
 		return ad.Circuit, mtcmos.SizingConfig{}, trs, nil
 	case "mult":
+		if err := checkWidth("bits", bits, 2); err != nil {
+			return nil, mtcmos.SizingConfig{}, nil, err
+		}
 		tech := mtcmos.Tech03()
 		if bits == 0 {
 			bits = 8
@@ -229,6 +235,9 @@ func build(kind string, bits, nvec int, seed int64) (*mtcmos.Circuit, mtcmos.Siz
 		}
 		return m.Circuit, mtcmos.SizingConfig{Outputs: m.ProductNets}, trs, nil
 	case "select":
+		if err := checkWidth("bits", bits, 1); err != nil {
+			return nil, mtcmos.SizingConfig{}, nil, err
+		}
 		tech := mtcmos.Tech07()
 		if bits == 0 {
 			bits = 8

@@ -33,8 +33,6 @@ type Compiled struct {
 	eq  []circuit.EquivGate
 	ipu []float64 // constant pullup current per gate
 
-	netNames []string // all net names, for Options.TraceAll
-
 	kRampN float64 // ramp-averaged NMOS drive factor (InputSlope model)
 	kRampP float64 // ramp-averaged PMOS drive factor
 
@@ -79,11 +77,6 @@ func Compile(c *circuit.Circuit) (*Compiled, error) {
 		for i := range c.Gates {
 			cp.ipu[i] = cp.eq[i].BetaP * scale
 		}
-	}
-	nets := c.Nets()
-	cp.netNames = make([]string, len(nets))
-	for i, n := range nets {
-		cp.netNames[i] = n.Name
 	}
 	return cp, nil
 }
@@ -183,11 +176,6 @@ func (cp *Compiled) run(doms []circuit.Domain, rs []float64, stim circuit.Stimul
 		for i := range s.fallStart {
 			s.fallStart[i] = -1
 			s.prevDir[i] = idle
-		}
-	}
-	if o.TraceAll {
-		for _, name := range cp.netNames {
-			s.traced[name] = true
 		}
 	}
 	for _, name := range o.TraceNets {

@@ -46,11 +46,10 @@ type Options struct {
 	// noise-margin loss.
 	ReverseConduction bool
 
-	// TraceNets records piecewise-linear waveforms for these nets;
-	// TraceAll records every net. The virtual ground and total sleep
-	// current are always recorded in MTCMOS mode.
+	// TraceNets records piecewise-linear waveforms for these nets. The
+	// virtual ground and total sleep current are always recorded in
+	// MTCMOS mode.
 	TraceNets []string
-	TraceAll  bool
 
 	// MaxEvents guards against runaway simulations. Default 2,000,000.
 	// Exceeding it returns the partial Result with an ErrBudget
@@ -69,11 +68,6 @@ type Options struct {
 	// TStop optionally caps simulated time after the input edge;
 	// default is to run until the circuit quiesces.
 	TStop float64
-
-	// Probe, when non-nil, is called once per processed breakpoint
-	// with the event index, its time, and the number of gates still
-	// in transition. Intended for debugging and instrumentation.
-	Probe func(ev int, t float64, active int)
 
 	// RecordActivity collects per-gate discharge intervals into
 	// Result.Activity — the raw material for mutual-exclusion analysis
@@ -582,15 +576,6 @@ func (s *sim) run(stim circuit.Stimulus) error {
 		s.tNow = next
 		t = next
 		s.res.Events++
-		if s.o.Probe != nil {
-			active := 0
-			for i := range s.st {
-				if s.st[i].d != idle {
-					active++
-				}
-			}
-			s.o.Probe(ev, t, active)
-		}
 
 		// Advance active gates; collect threshold crossers.
 		var crossers []int

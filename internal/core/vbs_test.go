@@ -425,27 +425,6 @@ func TestMaxEventsGuard(t *testing.T) {
 	}
 }
 
-func TestProbeAndTraceAll(t *testing.T) {
-	c := circuits.InverterChain(tech07(), 3, 20e-15)
-	c.SleepWL = 10
-	events := 0
-	res, err := Simulate(c, stepStim("in", false, true), Options{
-		TraceAll: true,
-		Probe:    func(ev int, tt float64, active int) { events++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if events != res.Events {
-		t.Errorf("probe saw %d events, result says %d", events, res.Events)
-	}
-	for _, net := range []string{"n1", "n2", "out", "in"} {
-		if res.Waves[net] == nil {
-			t.Errorf("TraceAll missing %s", net)
-		}
-	}
-}
-
 func TestActivityRecording(t *testing.T) {
 	c := circuits.InverterChain(tech07(), 4, 20e-15)
 	res, err := Simulate(c, stepStim("in", false, true), Options{RecordActivity: true})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mtcmos/internal/circuit"
 	"mtcmos/internal/report"
 	"mtcmos/internal/sca"
 	"mtcmos/internal/sizing"
@@ -24,36 +23,6 @@ func Refine(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "refine", Title: "SAT-backed mutual-exclusion refinement of the static level bound"}
 
-	type bench struct {
-		name string
-		c    *circuit.Circuit
-		scfg sizing.Config
-		trs  []sizing.Transition
-	}
-
-	tree, _ := paperTree()
-	treeTrs := []sizing.Transition{
-		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
-		{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
-	}
-
-	ad := paperAdder(cfg.AdderBits)
-	half := uint64(1) << uint(cfg.AdderBits)
-	space := adderSpace(cfg.AdderBits)
-	var adTrs []sizing.Transition
-	for _, p := range [][2]uint64{{0, space.Size() - 1}, {0, half - 1}, {half / 2, space.Size() - 1}} {
-		o, w := p[0], p[1]
-		adTrs = append(adTrs, sizing.Transition{
-			Old:   ad.Inputs(o%half, o/half, false),
-			New:   ad.Inputs(w%half, w/half, false),
-			Label: fmt.Sprintf("%d->%d", o, w),
-		})
-	}
-
-	m := paperMultiplier(cfg.MultiplierBits)
-	oa, ob, na, nb := vectorA(cfg.MultiplierBits)
-	mTrs := []sizing.Transition{{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}}
-
 	sel := paperSelect(8)
 	selVec := func(s bool, a, b uint64) map[string]bool {
 		in := map[string]bool{"sel": s}
@@ -69,13 +38,7 @@ func Refine(cfg Config) (*Output, error) {
 		{Old: selVec(true, 0xff, 0xff), New: selVec(true, 0xff, 0), Label: "B falls"},
 	}
 
-	benches := []bench{
-		{"inverter tree", tree, sizing.Config{Ctx: cfg.Ctx}, treeTrs},
-		{fmt.Sprintf("%d-bit adder", cfg.AdderBits), ad.Circuit, sizing.Config{}, adTrs},
-		{fmt.Sprintf("%dx%d multiplier", cfg.MultiplierBits, cfg.MultiplierBits),
-			m.Circuit, sizing.Config{Outputs: m.ProductNets}, mTrs},
-		{"8-bit select tree", sel, sizing.Config{}, selTrs},
-	}
+	benches := append(ladderBenches(cfg), ladderBench{"8-bit select tree", sel, sizing.Config{}, selTrs})
 
 	tb := report.NewTable("Bound ladder (W/L units)",
 		"circuit", "gates", "simulated", "refined", "static level", "sum-of-widths", "proven excl", "refinement")

@@ -24,50 +24,7 @@ import (
 func SCA(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "sca", Title: "static level bound vs sum-of-widths vs simulated discharge width"}
-
-	type bench struct {
-		name string
-		c    *circuit.Circuit
-		scfg sizing.Config
-		trs  []sizing.Transition
-		stim circuit.Stimulus
-	}
-
-	tree, _ := paperTree()
-	treeTrs := []sizing.Transition{
-		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
-		{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
-	}
-
-	ad := paperAdder(cfg.AdderBits)
-	half := uint64(1) << uint(cfg.AdderBits)
-	space := adderSpace(cfg.AdderBits)
-	var adTrs []sizing.Transition
-	for _, p := range [][2]uint64{{0, space.Size() - 1}, {0, half - 1}, {half / 2, space.Size() - 1}} {
-		o, w := p[0], p[1]
-		adTrs = append(adTrs, sizing.Transition{
-			Old:   ad.Inputs(o%half, o/half, false),
-			New:   ad.Inputs(w%half, w/half, false),
-			Label: fmt.Sprintf("%d->%d", o, w),
-		})
-	}
-
-	m := paperMultiplier(cfg.MultiplierBits)
-	oa, ob, na, nb := vectorA(cfg.MultiplierBits)
-	mTrs := []sizing.Transition{{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}}
-
-	edge := circuit.Stimulus{TEdge: 1e-9, TRise: 50e-12}
-	adderStim := edge
-	adderStim.Old, adderStim.New = adTrs[0].Old, adTrs[0].New
-	multStim := edge
-	multStim.Old, multStim.New = mTrs[0].Old, mTrs[0].New
-
-	benches := []bench{
-		{"inverter tree", tree, sizing.Config{Ctx: cfg.Ctx}, treeTrs, treeStim()},
-		{fmt.Sprintf("%d-bit adder", cfg.AdderBits), ad.Circuit, sizing.Config{}, adTrs, adderStim},
-		{fmt.Sprintf("%dx%d multiplier", cfg.MultiplierBits, cfg.MultiplierBits),
-			m.Circuit, sizing.Config{Outputs: m.ProductNets}, mTrs, multStim},
-	}
+	benches := ladderBenches(cfg)
 
 	tb := report.NewTable("Simultaneous-discharge width (W/L units)",
 		"circuit", "gates", "levels", "simulated", "static level bound", "sum-of-widths", "bound tightening")
@@ -92,7 +49,8 @@ func SCA(cfg Config) (*Output, error) {
 	t2 := report.NewTable("CCC partition of the expanded decks",
 		"deck", "components", "largest (devices/nets)", "shorts", "floating", "deep")
 	for _, b := range benches {
-		nl, err := b.c.Netlist(b.stim)
+		stim := circuit.Stimulus{Old: b.trs[0].Old, New: b.trs[0].New, TEdge: 1e-9, TRise: 50e-12}
+		nl, err := b.c.Netlist(stim)
 		if err != nil {
 			return nil, fmt.Errorf("sca: expand %s: %w", b.name, err)
 		}
@@ -114,4 +72,49 @@ func SCA(cfg Config) (*Output, error) {
 	out.note("the static level bound needs no vectors and no simulation (same effort class as sum-of-widths) yet sits on the simulated side of it; the measured width is what the sleep device must actually carry at the worst instant")
 	out.note("per-gate arrival windows [earliest, latest level] make the bound sound: a deep gate fed by a primary input can discharge at level 1, so levels charge every gate whose window covers them")
 	return out, nil
+}
+
+// ladderBench is one circuit of the bound-ladder experiments (sca and
+// refine): its sizing configuration and the stressing transitions
+// whose simulated discharge width the static bounds must cover. The
+// first transition also stimulates the expanded deck.
+type ladderBench struct {
+	name string
+	c    *circuit.Circuit
+	scfg sizing.Config
+	trs  []sizing.Transition
+}
+
+// ladderBenches builds the paper's inverter tree, adder and multiplier
+// with their stressing transitions; refine appends the select tree.
+func ladderBenches(cfg Config) []ladderBench {
+	tree, _ := paperTree()
+	treeTrs := []sizing.Transition{
+		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
+		{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
+	}
+
+	ad := paperAdder(cfg.AdderBits)
+	half := uint64(1) << uint(cfg.AdderBits)
+	space := adderSpace(cfg.AdderBits)
+	var adTrs []sizing.Transition
+	for _, p := range [][2]uint64{{0, space.Size() - 1}, {0, half - 1}, {half / 2, space.Size() - 1}} {
+		o, w := p[0], p[1]
+		adTrs = append(adTrs, sizing.Transition{
+			Old:   ad.Inputs(o%half, o/half, false),
+			New:   ad.Inputs(w%half, w/half, false),
+			Label: fmt.Sprintf("%d->%d", o, w),
+		})
+	}
+
+	m := paperMultiplier(cfg.MultiplierBits)
+	oa, ob, na, nb := vectorA(cfg.MultiplierBits)
+	mTrs := []sizing.Transition{{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}}
+
+	return []ladderBench{
+		{"inverter tree", tree, sizing.Config{Ctx: cfg.Ctx}, treeTrs},
+		{fmt.Sprintf("%d-bit adder", cfg.AdderBits), ad.Circuit, sizing.Config{}, adTrs},
+		{fmt.Sprintf("%dx%d multiplier", cfg.MultiplierBits, cfg.MultiplierBits),
+			m.Circuit, sizing.Config{Outputs: m.ProductNets}, mTrs},
+	}
 }

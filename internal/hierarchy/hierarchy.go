@@ -14,16 +14,23 @@
 // overlap graph, greedily groups compatible blocks, sizes each group
 // for a virtual-ground bounce budget, and can apply the resulting
 // multi-domain plan to the circuit for verification.
+//
+// It shares the static analyzer's machinery rather than repeating it:
+// PartitionByLevel bins gates by sca.Levelize's depth, and Analyze
+// groups blocks with sca.GroupWidest, the widest-first rule the SAT
+// exclusion refinement groups proven-exclusive gates with — here the
+// evidence that two blocks never discharge together is simulated
+// rather than proven.
 package hierarchy
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"mtcmos/internal/circuit"
 	"mtcmos/internal/core"
 	"mtcmos/internal/mosfet"
+	"mtcmos/internal/sca"
 )
 
 // Transition is one input-vector pair analyzed for discharge overlap.
@@ -72,34 +79,20 @@ type Plan struct {
 	PerBlockWL float64
 }
 
-// PartitionByLevel groups gates by topological depth into nLevels
-// blocks — the natural partition for ripple/array structures whose
-// stages discharge in sequence.
+// PartitionByLevel groups gates by topological depth (sca.Levelize's
+// latest-arrival level) into nLevels blocks — the natural partition
+// for ripple/array structures whose stages discharge in sequence.
 func PartitionByLevel(c *circuit.Circuit, nLevels int) ([][]int, error) {
 	if nLevels < 1 {
 		return nil, fmt.Errorf("hierarchy: need at least one level")
 	}
-	order, err := c.Topo()
+	l, err := sca.Levelize(c)
 	if err != nil {
 		return nil, err
 	}
-	depth := make([]int, len(c.Gates))
-	maxDepth := 0
-	for _, g := range order {
-		d := 0
-		for _, in := range g.In {
-			if in.Driver != nil && depth[in.Driver.ID]+1 > d {
-				d = depth[in.Driver.ID] + 1
-			}
-		}
-		depth[g.ID] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
 	blocks := make([][]int, nLevels)
 	for _, g := range c.Gates {
-		b := depth[g.ID] * nLevels / (maxDepth + 1)
+		b := (l.Depth[g.ID] - 1) * nLevels / l.NumLevels()
 		blocks[b] = append(blocks[b], g.ID)
 	}
 	// Drop empty blocks.
@@ -280,38 +273,19 @@ func Analyze(c *circuit.Circuit, cfg Config, trs []Transition) (*Plan, error) {
 	}
 	plan.SingleWL = single
 
-	// Greedy grouping: largest blocks first; a block joins a group only
-	// if it overlaps none of its members. Group device = max member.
-	order := make([]int, nb)
-	for i := range order {
-		order[i] = i
+	// Greedy grouping, the exclusion refinement's rule (sca.GroupWidest):
+	// largest blocks first; a block joins a group only if it overlaps
+	// none of its members. Group device = its widest, first, member.
+	blocks := make([]int, nb)
+	for i := range blocks {
+		blocks[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return plan.BlockWL[order[i]] > plan.BlockWL[order[j]]
-	})
-	for _, b := range order {
-		placed := false
-		for gi, grp := range plan.Groups {
-			ok := true
-			for _, m := range grp {
-				if plan.Overlap[b][m] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				plan.Groups[gi] = append(plan.Groups[gi], b)
-				plan.GroupWL[gi] = math.Max(plan.GroupWL[gi], plan.BlockWL[b])
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			plan.Groups = append(plan.Groups, []int{b})
-			plan.GroupWL = append(plan.GroupWL, plan.BlockWL[b])
-		}
-	}
-	for _, wl := range plan.GroupWL {
+	plan.Groups = sca.GroupWidest(blocks,
+		func(b int) float64 { return plan.BlockWL[b] },
+		func(a, b int) bool { return !plan.Overlap[a][b] })
+	for _, grp := range plan.Groups {
+		wl := plan.BlockWL[grp[0]]
+		plan.GroupWL = append(plan.GroupWL, wl)
 		plan.TotalWL += wl
 	}
 	return plan, nil

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -274,6 +275,31 @@ func TestCircuitRules(t *testing.T) {
 	diags = Run(nil, mis, nil)
 	if codesOf(diags)["MT016"] == 0 {
 		t.Errorf("oversized sleep device not flagged: %v", diags)
+	}
+
+	// Invalid sleep-domain values: a negative or non-finite
+	// virtual-ground capacitance (MT008) and a non-finite sleep W/L
+	// (MT007) are errors naming the domain.
+	for _, tc := range []struct {
+		code   string
+		wl, cx float64
+	}{
+		{"MT008", 5, -1e-12},
+		{"MT008", 5, math.NaN()},
+		{"MT007", math.NaN(), 0},
+		{"MT007", math.Inf(1), 0},
+	} {
+		bad := circuits.InverterChain(&tech, 2, 10e-15)
+		bad.SleepWL, bad.VGndCap = tc.wl, tc.cx
+		found := false
+		for _, d := range Run(nil, bad, nil) {
+			if d.Code == tc.code && d.Severity == Error && d.Subject == "d0" {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("W/L %g, Cx %g: no %s error on domain d0", tc.wl, tc.cx, tc.code)
+		}
 	}
 }
 

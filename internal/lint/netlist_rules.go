@@ -196,8 +196,11 @@ var ruleNonPositiveGeometry = &rule{
 				}
 			}
 			for di, d := range c.Domains() {
-				if d.SleepWL < 0 {
+				switch {
+				case d.SleepWL < 0:
 					s.emit(d.Name, "sleep domain %d has negative sleep W/L %.4g", di, d.SleepWL)
+				case math.IsNaN(d.SleepWL) || math.IsInf(d.SleepWL, 0):
+					s.emit(d.Name, "sleep domain %d has non-finite sleep W/L %.4g", di, d.SleepWL)
 				}
 			}
 		}
@@ -209,6 +212,13 @@ var ruleBadPassive = &rule{
 	sev:   Error,
 	title: "negative capacitance, or non-positive resistance",
 	check: func(t *Target, s *sink) {
+		if c := t.Circuit; c != nil {
+			for di, d := range c.Domains() {
+				if d.VGndCap < 0 || math.IsNaN(d.VGndCap) || math.IsInf(d.VGndCap, 0) {
+					s.emit(d.Name, "sleep domain %d has invalid virtual-ground capacitance %.4g F", di, d.VGndCap)
+				}
+			}
+		}
 		if t.Flat == nil {
 			return
 		}

@@ -10,35 +10,12 @@ import (
 
 // This file is the path-condition prover behind mtlint -prove: it
 // converts every enumerated DC path into a conjunction of gate
-// literals over a CNF model of the whole deck's pull networks and asks
-// internal/sat to prove or refute it.
-//
-// Encoding (DESIGN.md §10):
-//
-//   - every signal-rail net (a time-varying or mid-level source: the
-//     deck's primary inputs) and every net used as a MOS gate gets one
-//     boolean variable; supply-rail gates are constants;
-//   - a MOS device conducts iff its gate literal holds (+v for NMOS,
-//     -v for PMOS); resistors always conduct; devices whose gate sits
-//     on a supply rail are the always-on/always-off constants the
-//     graph rules already use;
-//   - for every logic output o and every enumerated pull path p with
-//     condition lits l1..lk, one drive clause ties the output value to
-//     its network: (!l1 | ... | !lk | o | dis_o) for pull-up paths and
-//     (!l1 | ... | !lk | !o | dis_o) for pull-down paths. Outputs that
-//     feed gates in other components share the same variable, so
-//     cross-CCC correlations are modeled, not assumed independent: an
-//     inverter's output can never equal its input in any model;
-//   - dis_o is the per-output contention escape: a short path running
-//     *through* o drives it from both rails at once, so the drive
-//     clauses for outputs on the queried path are released (dis_o left
-//     free) while every other output is pinned consistent (!dis_o
-//     assumed). Outputs whose dis is forced — an unconditional
-//     contention, already an MT018 on its own — are dropped from the
-//     consistency set so one bad node cannot poison every other query
-//     in the deck. Undriven outputs are unconstrained: the encoding
-//     deliberately adopts charge-retention semantics, where a floating
-//     node may hold either value.
+// literals and asks internal/sat to prove or refute it over one CNF
+// model of the whole deck's pull networks — the single-frame,
+// whole-deck instance of the drive-clause encoding in cones.go
+// (DESIGN.md §10). Signal rails (the deck's primary inputs) and
+// non-rail gate nets are variables; supply-rail gates are the
+// always-on/always-off constants the graph rules already use.
 //
 // Queries are made with assumptions over this one shared clause
 // database (plus activation-literal clauses, which are inert unless
@@ -259,24 +236,12 @@ func (a *Analysis) enumerateSym(c *Component, start string, want RailKind, maxDe
 	return out, truncated
 }
 
-// prover carries the shared encoding state of one Prove call.
+// prover answers Prove's queries over the whole-deck encoding.
 type prover struct {
-	a   *Analysis
-	cfg Config
-	s   *sat.Solver
-
-	varOf map[string]int // net -> variable
-	nets  []string       // variable -> net (1-based; "" for aux vars)
-
-	disOf map[string]int // output net -> contention-disable variable
-
-	// consistent holds the "!dis_o" assumption for every output whose
-	// drive clauses can be enforced at all (settle drops the forced
-	// ones); consistOf maps the output back to its entry.
-	consistent []int
-	consistOf  map[string]int
-
-	stats ProofStats
+	a         *Analysis
+	cfg       Config
+	fp        *frameProver
+	truncated int // path enumerations that hit a cap
 }
 
 // Prove runs the path-condition engine over the analyzed deck: it
@@ -296,204 +261,21 @@ func (a *Analysis) Prove() *Proof {
 	if a.flat == nil {
 		return p
 	}
-	pr := newProver(a)
-	pr.encodeCones()
-	pr.settleConsistent()
+	cc := newConeCache(a)
+	pr := &prover{a: a, cfg: cc.cfg, fp: newFrameProver(cc, cc.deckScope(), 1, 0)}
+	for _, o := range pr.fp.scope.outputs {
+		pr.truncated += cc.pathsOf(o).capped
+	}
 	p.Shorts = pr.proveShorts()
 	p.Floating, p.Suppressed = pr.proveFloating()
-	pr.stats.Vars = pr.s.NumVars()
-	p.Stats = pr.stats
+	p.Stats = ProofStats{
+		Vars:      pr.fp.s.NumVars(),
+		Clauses:   pr.fp.clauses,
+		Queries:   pr.fp.queries,
+		Unknown:   pr.fp.unknown,
+		Truncated: pr.truncated,
+	}
 	return p
-}
-
-func newProver(a *Analysis) *prover {
-	pr := &prover{
-		a:         a,
-		cfg:       a.cfg.withDefaults(),
-		s:         sat.New(),
-		varOf:     map[string]int{},
-		disOf:     map[string]int{},
-		consistOf: map[string]int{},
-		nets:      []string{""},
-	}
-
-	// Variable universe, in sorted-net order so the solver's
-	// lowest-index branching walks nets lexicographically: every
-	// signal rail (primary input), every non-rail MOS gate net, every
-	// logic output.
-	want := map[string]bool{}
-	for n, k := range a.rails {
-		if k == RailSignal {
-			want[n] = true
-		}
-	}
-	addGate := func(e condEdge) {
-		if e.mos && a.rails[e.gate] != RailHigh && a.rails[e.gate] != RailLow {
-			want[e.gate] = true
-		}
-	}
-	for _, e := range a.edges {
-		addGate(e)
-	}
-	for _, e := range a.bridges {
-		addGate(e)
-	}
-	for _, c := range a.Components {
-		for _, o := range c.Outputs {
-			want[o] = true
-		}
-	}
-	for _, n := range sortedKeys(want) {
-		v := pr.s.NewVar()
-		pr.varOf[n] = v
-		pr.nets = append(pr.nets, n)
-	}
-
-	// Contention-disable variables, one per output, after the nets.
-	var outputs []string
-	for _, c := range a.Components {
-		outputs = append(outputs, c.Outputs...)
-	}
-	sort.Strings(outputs)
-	for _, o := range outputs {
-		d := pr.s.NewVar()
-		pr.disOf[o] = d
-		pr.nets = append(pr.nets, "")
-	}
-	return pr
-}
-
-// enumerate wraps enumerateSym, counting truncation into the proof
-// stats.
-func (pr *prover) enumerate(c *Component, start string, want RailKind, maxDepth, limit int) []symPath {
-	out, truncated := pr.a.enumerateSym(c, start, want, maxDepth, limit)
-	if truncated {
-		pr.stats.Truncated++
-	}
-	return out
-}
-
-// intLits maps a symbolic condition onto this prover's SAT variables:
-// net=1 becomes +v, net=0 becomes -v. A net outside the variable
-// universe (cannot happen by construction) is treated as always
-// satisfied, matching the symbolic enumeration's always-on handling.
-func (pr *prover) intLits(lits []symLit) []int {
-	out := make([]int, 0, len(lits))
-	for _, l := range lits {
-		v := pr.varOf[l.net]
-		if v == 0 {
-			continue
-		}
-		if !l.val {
-			v = -v
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// encodeCones emits the drive clauses tying every logic output to its
-// pull networks.
-func (pr *prover) encodeCones() {
-	for _, c := range pr.a.Components {
-		for _, o := range c.Outputs {
-			vo := pr.varOf[o]
-			do := pr.disOf[o]
-			for _, p := range pr.pullPaths(c, o, RailHigh) {
-				cl := append(negate(pr.intLits(p.lits)), vo, do)
-				pr.s.AddClause(cl...)
-				pr.stats.Clauses++
-			}
-			for _, p := range pr.pullPaths(c, o, RailLow) {
-				cl := append(negate(pr.intLits(p.lits)), -vo, do)
-				pr.s.AddClause(cl...)
-				pr.stats.Clauses++
-			}
-		}
-	}
-}
-
-// settleConsistent computes the largest set of outputs whose drive
-// clauses can be enforced simultaneously: it assumes !dis for every
-// output and, while the solver refutes the set, drops the dis
-// literals named in the refutation core. Outputs dropped here are
-// unconditionally contended — always-on shorts the static pass
-// already reports — and excluding them keeps one bad node from making
-// every other query in the deck vacuously unsat.
-func (pr *prover) settleConsistent() {
-	outs := sortedKeys(pr.disOf)
-	dropped := map[int]bool{}
-	for {
-		var assume []int
-		for _, o := range outs {
-			if d := pr.disOf[o]; !dropped[d] {
-				assume = append(assume, -d)
-			}
-		}
-		if len(assume) == 0 {
-			break
-		}
-		pr.stats.Queries++
-		r := pr.s.Solve(assume...)
-		if r.Status == sat.Sat {
-			break
-		}
-		if r.Status == sat.Unknown {
-			pr.stats.Unknown++
-		}
-		progress := false
-		for _, l := range r.Core {
-			if l < 0 && !dropped[-l] {
-				dropped[-l] = true
-				progress = true
-			}
-		}
-		if !progress {
-			// Unknown, or a core with no dis literal (cannot happen:
-			// the clause set alone is satisfied by all-dis-true). Drop
-			// everything rather than loop forever.
-			for _, o := range outs {
-				dropped[pr.disOf[o]] = true
-			}
-		}
-	}
-	for _, o := range outs {
-		if d := pr.disOf[o]; !dropped[d] {
-			pr.consistOf[o] = len(pr.consistent)
-			pr.consistent = append(pr.consistent, -d)
-		}
-	}
-}
-
-// consistExcept returns the consistency assumptions, releasing the
-// given outputs (nets on a queried short path, which are legitimately
-// contended in the scenario under test).
-func (pr *prover) consistExcept(release map[string]bool) []int {
-	if len(release) == 0 {
-		return pr.consistent
-	}
-	out := make([]int, 0, len(pr.consistent))
-	for o, i := range pr.consistOf {
-		if !release[o] {
-			out = append(out, pr.consistent[i])
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// pullPaths enumerates output o's conducting paths to the given rail
-// kind.
-func (pr *prover) pullPaths(c *Component, o string, kind RailKind) []symPath {
-	return pr.enumerate(c, o, kind, pr.cfg.MaxStackDepth, pr.cfg.MaxPathsPerOutput)
-}
-
-func negate(lits []int) []int {
-	out := make([]int, 0, len(lits)+2)
-	for _, l := range lits {
-		out = append(out, -l)
-	}
-	return out
 }
 
 // shortGroup collects parallel candidate paths sharing one condition.
@@ -510,7 +292,7 @@ func (pr *prover) proveShorts() []ProvenShort {
 	groups := map[string]*shortGroup{}
 	var order []string
 	add := func(comp int, from, to string, p symPath) {
-		sig := fmt.Sprintf("%d %s>%s %v", comp, from, to, sortedSymLits(p.lits))
+		sig := fmt.Sprintf("%d %s>%s %v", comp, from, to, condStrings(p.lits))
 		g, ok := groups[sig]
 		if !ok {
 			g = &shortGroup{comp: comp, from: from, to: to, first: p}
@@ -546,7 +328,11 @@ func (pr *prover) proveShorts() []ProvenShort {
 			if pr.a.rails[r] != RailHigh {
 				continue
 			}
-			for _, p := range pr.enumerate(c, r, RailLow, 2*pr.cfg.MaxStackDepth, pr.cfg.MaxShortPaths) {
+			paths, capped := pr.a.enumerateSym(c, r, RailLow, 2*pr.cfg.MaxStackDepth, pr.cfg.MaxShortPaths)
+			if capped {
+				pr.truncated++
+			}
+			for _, p := range paths {
 				add(c.ID, r, p.end, p)
 			}
 		}
@@ -588,18 +374,10 @@ func (pr *prover) solveShort(g *shortGroup) (ProvenShort, bool) {
 	for _, n := range p.nets {
 		onPath[n] = true
 	}
-	consist := pr.consistExcept(onPath)
-	lits := pr.intLits(p.lits)
-	assume := append(append([]int{}, lits...), consist...)
-
-	pr.stats.Queries++
-	r := pr.s.Solve(assume...)
-	switch r.Status {
-	case sat.Unknown:
-		pr.stats.Unknown++
-		return ProvenShort{}, false // no proof either way: stay quiet
-	case sat.Unsat:
-		return ProvenShort{}, false // proven infeasible
+	consist := pr.fp.consistExcept(onPath)
+	r := pr.fp.solve(append(pr.fp.condLits(0, p.lits), consist...)...)
+	if r.Status != sat.Sat {
+		return ProvenShort{}, false // proven infeasible, or no proof either way: stay quiet
 	}
 
 	sh := ProvenShort{
@@ -608,9 +386,9 @@ func (pr *prover) solveShort(g *shortGroup) (ProvenShort, bool) {
 		To:        g.to,
 		Devices:   p.devices,
 		Paths:     g.count,
-		Cond:      pr.condStrings(p.lits),
+		Cond:      condStrings(p.lits),
 		Witness:   pr.inputWitness(&r),
-		Model:     pr.modelWitness(&r),
+		Model:     pr.fp.frameModel(&r, 0),
 	}
 
 	// Always-on iff the negated condition is unsatisfiable in a
@@ -619,17 +397,8 @@ func (pr *prover) solveShort(g *shortGroup) (ProvenShort, bool) {
 		sh.Always = true
 		return sh, true
 	}
-	act := pr.s.NewVar()
-	pr.nets = append(pr.nets, "")
-	pr.s.AddClause(append(negate(lits), -act)...)
-	pr.stats.Queries++
-	neg := pr.s.Solve(append([]int{act}, consist...)...)
-	switch neg.Status {
-	case sat.Unsat:
-		sh.Always = true
-	case sat.Unknown:
-		pr.stats.Unknown++
-	}
+	act := pr.fp.blocker(0, p.lits)
+	sh.Always = pr.fp.solve(append([]int{act}, consist...)...).Status == sat.Unsat
 	return sh, true
 }
 
@@ -638,8 +407,9 @@ func (pr *prover) solveShort(g *shortGroup) (ProvenShort, bool) {
 // undriven (all of its pull paths off at once).
 func (pr *prover) proveFloating() (kept []ProvenFloating, gone []InfeasibleFloating) {
 	for _, fo := range pr.a.Floating {
-		c := pr.a.Components[fo.Component]
-		paths := append(pr.pullPaths(c, fo.Net, RailHigh), pr.pullPaths(c, fo.Net, RailLow)...)
+		op := pr.fp.cc.pathsOf(fo.Net)
+		pr.truncated += op.capped
+		paths := append(append([]symPath{}, op.up...), op.down...)
 
 		// One "off" assumption per path: off_p -> some device on p is
 		// off. A path with an empty condition always conducts, so its
@@ -648,20 +418,15 @@ func (pr *prover) proveFloating() (kept []ProvenFloating, gone []InfeasibleFloat
 		// trivially undriven and any consistent state is a witness.
 		offVars := make([]int, len(paths))
 		for i, p := range paths {
-			v := pr.s.NewVar()
-			pr.nets = append(pr.nets, "")
-			offVars[i] = v
-			pr.s.AddClause(append(negate(pr.intLits(p.lits)), -v)...)
+			offVars[i] = pr.fp.blocker(0, p.lits)
 		}
-		assume := append(append([]int{}, offVars...), pr.consistent...)
-		pr.stats.Queries++
-		r := pr.s.Solve(assume...)
+		r := pr.fp.solve(append(append([]int{}, offVars...), pr.fp.consistent...)...)
 		switch r.Status {
 		case sat.Sat:
 			kept = append(kept, ProvenFloating{
 				FloatingOutput: fo,
 				Witness:        pr.inputWitness(&r),
-				Model:          pr.modelWitness(&r),
+				Model:          pr.fp.frameModel(&r, 0),
 			})
 		case sat.Unsat:
 			inf := InfeasibleFloating{FloatingOutput: fo}
@@ -675,8 +440,8 @@ func (pr *prover) proveFloating() (kept []ProvenFloating, gone []InfeasibleFloat
 			sort.Strings(inf.Core)
 			gone = append(gone, inf)
 		default:
-			pr.stats.Unknown++
-			// Keep the warning, without a witness: no proof either way.
+			// Unknown: keep the warning, without a witness — no proof
+			// either way.
 			kept = append(kept, ProvenFloating{FloatingOutput: fo})
 		}
 	}
@@ -690,38 +455,16 @@ func (pr *prover) inputWitness(r *sat.Result) Witness {
 	var w Witness
 	for n, k := range pr.a.rails {
 		if k == RailSignal {
-			w = append(w, NetValue{Net: n, Value: r.Value(pr.varOf[n])})
+			w = append(w, NetValue{Net: n, Value: r.Value(pr.fp.varOf[0][n])})
 		}
 	}
 	sort.Slice(w, func(i, j int) bool { return w[i].Net < w[j].Net })
 	return w
 }
 
-// modelWitness extracts every net-variable value (inputs and internal
-// gate/output nets alike), for replay.
-func (pr *prover) modelWitness(r *sat.Result) Witness {
-	w := make(Witness, 0, len(pr.varOf))
-	for v := 1; v < len(pr.nets); v++ {
-		if pr.nets[v] != "" {
-			w = append(w, NetValue{Net: pr.nets[v], Value: r.Value(v)})
-		}
-	}
-	sort.Slice(w, func(i, j int) bool { return w[i].Net < w[j].Net })
-	return w
-}
-
-// condStrings renders a condition's literals as sorted "net=v" terms.
-func (pr *prover) condStrings(lits []symLit) []string {
-	out := make([]string, 0, len(lits))
-	for _, l := range lits {
-		out = append(out, NetValue{Net: l.net, Value: l.val}.String())
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sortedSymLits canonicalizes a symbolic condition for grouping.
-func sortedSymLits(lits []symLit) []string {
+// condStrings renders a condition's literals as sorted "net=v" terms,
+// its canonical form for reporting and grouping.
+func condStrings(lits []symLit) []string {
 	out := make([]string, 0, len(lits))
 	for _, l := range lits {
 		out = append(out, NetValue{Net: l.net, Value: l.val}.String())

@@ -2,6 +2,7 @@ package sca
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -226,26 +227,33 @@ func RefineLevels(c *circuit.Circuit, cfg ExclConfig) (*Refinement, error) {
 		return fallback(err.Error()), nil
 	}
 
-	// Stage 2: per-gate fall analysis (chunked SAT + switch-level
-	// replay of every witness). Gates whose witness fails replay are
-	// dropped from the refinement; gates that provably cannot fall are
-	// exclusive with everything.
-	if err := r.fallAnalysis(a, cfg, pairs); err != nil {
-		return fallback(err.Error()), nil
-	}
-	pairs = r.dropIneligible(pairs)
-
-	// Stage 3: pairwise exclusion queries, budgeted and chunked.
-	if len(pairs) > cfg.MaxPairs {
-		r.Stats.TruncatedPairs = len(pairs) - cfg.MaxPairs
-		pairs = pairs[:cfg.MaxPairs]
-	}
-	if err := r.provePairs(a, cfg, pairs); err != nil {
+	// Stages 2 and 3: fall analysis, then the pair proofs.
+	if err := r.prove(newConeCache(a), cfg, pairs); err != nil {
 		return fallback(err.Error()), nil
 	}
 
 	r.recompute()
 	return r, nil
+}
+
+// prove is the proof pipeline RefineLevels and RefineDeck share. Stage
+// 2 asks, per gate, whether its output can fall at all (chunked SAT +
+// switch-level replay of every witness): gates whose witness fails
+// replay are dropped from the refinement; gates that provably cannot
+// fall are exclusive with everything. Stage 3 runs the remaining pair
+// queries, budgeted by MaxPairs in the given order and chunked. The
+// chunks share one cone cache, so every output's paths are enumerated
+// once.
+func (r *Refinement) prove(cc *coneCache, cfg ExclConfig, pairs [][2]int) error {
+	if err := r.fallAnalysis(cc, cfg, pairs); err != nil {
+		return err
+	}
+	pairs = r.dropIneligible(pairs)
+	if len(pairs) > cfg.MaxPairs {
+		r.Stats.TruncatedPairs = len(pairs) - cfg.MaxPairs
+		pairs = pairs[:cfg.MaxPairs]
+	}
+	return r.provePairs(cc, cfg, pairs)
 }
 
 // candidatePairs returns every gate pair worth proving: overlapping
@@ -425,8 +433,8 @@ type fallVerdict struct {
 // fallAnalysis asks, per gate involved in a surviving pair, whether
 // its output can fall at all, and replays every Sat witness through
 // the independent switch-level harness. Chunks of gates fan out on
-// sched.Map; each chunk owns a fresh cone cache and solver.
-func (r *Refinement) fallAnalysis(a *Analysis, cfg ExclConfig, pairs [][2]int) error {
+// sched.Map; each chunk owns its solver.
+func (r *Refinement) fallAnalysis(cc *coneCache, cfg ExclConfig, pairs [][2]int) error {
 	idSet := map[int]bool{}
 	for _, p := range pairs {
 		idSet[p[0]] = true
@@ -441,12 +449,11 @@ func (r *Refinement) fallAnalysis(a *Analysis, cfg ExclConfig, pairs [][2]int) e
 	chunks := chunkInts(ids, exclChunkGates)
 	results, err := sched.Map(nil, sched.Workers(cfg.Workers), len(chunks), func(ci int) ([]fallVerdict, error) {
 		chunk := chunks[ci]
-		cc := newConeCache(a)
 		roots := make([]string, len(chunk))
 		for i, id := range chunk {
 			roots[i] = r.gates[id].net
 		}
-		fp := newFrameProver(cc, roots, cfg.MaxConflicts)
+		fp := newFrameProver(cc, cc.cone(roots), 2, cfg.MaxConflicts)
 		out := make([]fallVerdict, 0, len(chunk))
 		for _, id := range chunk {
 			res := fp.canFall(r.gates[id].net)
@@ -460,7 +467,7 @@ func (r *Refinement) fallAnalysis(a *Analysis, cfg ExclConfig, pairs [][2]int) e
 		if len(out) > 0 {
 			out[0].queries = fp.queries
 			out[0].unknown = fp.unknown
-			out[0].truncated = sortedKeys(cc.truncated)
+			out[0].truncated = fp.truncated()
 		}
 		return out, nil
 	})
@@ -490,7 +497,7 @@ func (r *Refinement) fallAnalysis(a *Analysis, cfg ExclConfig, pairs [][2]int) e
 				// witness the replay rejects is dropped from the
 				// refinement entirely (encoder distrust ⇒ PR 2 answer).
 				r.Stats.ReplayChecked++
-				if !replayFall(a, g.net, v.m0, v.m1) {
+				if !replayFall(cc.a, g.net, v.m0, v.m1) {
 					g.dropped = true
 					r.Stats.ReplayFailed++
 				}
@@ -541,17 +548,16 @@ type pairVerdict struct {
 
 // provePairs runs the budgeted exclusion queries in deterministic
 // fixed-size chunks on sched.Map.
-func (r *Refinement) provePairs(a *Analysis, cfg ExclConfig, pairs [][2]int) error {
+func (r *Refinement) provePairs(cc *coneCache, cfg ExclConfig, pairs [][2]int) error {
 	chunks := chunkPairs(pairs, exclChunkPairs)
 	results, err := sched.Map(nil, sched.Workers(cfg.Workers), len(chunks), func(ci int) ([]pairVerdict, error) {
 		chunk := chunks[ci]
-		cc := newConeCache(a)
 		rootSet := map[string]bool{}
 		for _, p := range chunk {
 			rootSet[r.gates[p[0]].net] = true
 			rootSet[r.gates[p[1]].net] = true
 		}
-		fp := newFrameProver(cc, sortedKeys(rootSet), cfg.MaxConflicts)
+		fp := newFrameProver(cc, cc.cone(sortedKeys(rootSet)), 2, cfg.MaxConflicts)
 		out := make([]pairVerdict, 0, len(chunk))
 		for _, p := range chunk {
 			res := fp.exclusive(r.gates[p[0]].net, r.gates[p[1]].net)
@@ -631,47 +637,58 @@ func (r *Refinement) recompute() {
 	}
 }
 
-// groupMax greedily partitions the members into exclusion groups
-// (every two members of a group are pairwise exclusive) and returns
-// Σ over groups of the group's widest member. With no exclusions every
-// gate is its own group and the result is the plain sum; the greedy
-// order — widest first, gate ID tie-break — is deterministic.
+// groupMax returns Σ over the GroupWidest groups of the members of
+// each group's widest member: with no exclusions every gate is its own
+// group and the result is the plain sum.
 //
 // Soundness: gates discharging at one instant are pairwise
 // NON-exclusive, so at most one of them sits in any group, and the
 // per-group max charges for it.
 func (r *Refinement) groupMax(members []int) float64 {
-	sort.Slice(members, func(i, j int) bool {
-		wi, wj := r.gates[members[i]].width, r.gates[members[j]].width
+	width := func(id int) float64 { return r.gates[id].width }
+	total := 0.0
+	for _, grp := range GroupWidest(members, width, r.exclusiveGates) {
+		total += width(grp[0])
+	}
+	return total
+}
+
+// GroupWidest greedily partitions members into groups of pairwise
+// compatible members and returns them: widest first, ties in ascending
+// member order, each member joins the first group it is compatible
+// with throughout, or opens a new one. A group's first member is its
+// widest. The order is deterministic, and members is not modified.
+func GroupWidest(members []int, width func(int) float64, compatible func(a, b int) bool) [][]int {
+	order := slices.Clone(members)
+	sort.Slice(order, func(i, j int) bool {
+		wi, wj := width(order[i]), width(order[j])
 		if wi != wj {
 			return wi > wj
 		}
-		return members[i] < members[j]
+		return order[i] < order[j]
 	})
 	var groups [][]int
-	total := 0.0
-	for _, id := range members {
+	for _, m := range order {
 		placed := false
 		for gi, grp := range groups {
 			ok := true
 			for _, other := range grp {
-				if !r.exclusiveGates(id, other) {
+				if !compatible(m, other) {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				groups[gi] = append(groups[gi], id)
+				groups[gi] = append(groups[gi], m)
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			groups = append(groups, []int{id})
-			total += r.gates[id].width // first member is the group max (sorted descending)
+			groups = append(groups, []int{m})
 		}
 	}
-	return total
+	return groups
 }
 
 // DomainBound recomputes the refined per-level bound restricted to one
@@ -742,23 +759,25 @@ func chunkPairs(pairs [][2]int, size int) [][][2]int {
 // rail, summed naively and with proven-exclusive outputs contributing
 // max instead.
 type DeckRefinement struct {
-	Device  string   // sleep device name
-	Rail    string   // its virtual-ground rail net
-	WL      float64  // the device's W/L
-	Outputs []string // discharging outputs behind the rail
-	Sum     float64  // Σ per-output discharge width (the PR 2-class answer)
-	Refined float64  // Σ over exclusion groups of the group max
-	Pairs   []string // proven exclusions, as "a × b" net pairs, sorted
-	Stats   ExclusionStats
+	Device  string         // sleep device name
+	Rail    string         // its virtual-ground rail net
+	WL      float64        // the device's W/L
+	Outputs []string       // discharging outputs behind the rail
+	Sum     float64        // Σ per-output discharge width (the unrefined answer)
+	Refined float64        // Σ over exclusion groups of the group max
+	Pairs   []string       // proven exclusions, as "a × b" net pairs, sorted
+	Stats   ExclusionStats // RefineLevels' proof funnel (no vector prefilter)
 }
 
 // RefineDeck runs the mutual-exclusion refinement over the analyzed
 // deck itself: for every sleep device (a high-Vt NMOS strapping a
 // virtual rail to ground) it identifies the outputs discharging
-// through it, proves pairwise exclusions with the two-frame encoding,
-// and reports the naive and refined discharge-width sums. Witnesses
-// are replay-validated exactly as in RefineLevels. Deterministic: one
-// solver per device, outputs in sorted order.
+// through it and their discharge widths, then runs RefineLevels' proof
+// pipeline and grouping over them — one gate per output, every pair a
+// candidate in sorted output order, no vector prefilter (a deck has no
+// gate IR to evaluate) — and reports the naive and refined
+// discharge-width sums. Deterministic and worker-count-invariant, like
+// RefineLevels.
 func (a *Analysis) RefineDeck(cfg ExclConfig) []DeckRefinement {
 	cfg = cfg.withDefaults()
 	if a.flat == nil {
@@ -793,125 +812,50 @@ func (a *Analysis) RefineDeck(cfg ExclConfig) []DeckRefinement {
 
 // refineDeckDomain proves exclusions among one virtual rail's outputs.
 func (a *Analysis) refineDeckDomain(cfg ExclConfig, d DeckRefinement, c *Component) DeckRefinement {
-	cc := newConeCache(a)
-
 	// Discharge width of an output: the best (series-min W/L) of its
 	// enumerated pull-down paths — the current path the sleep device
 	// must carry when that output discharges.
-	width := map[string]float64{}
+	cc := newConeCache(a)
+	r := &Refinement{excl: map[[2]int]bool{}}
 	for _, o := range c.Outputs {
 		if o == d.Rail {
 			continue
 		}
 		best := 0.0
 		for _, sp := range cc.pathsOf(o).down {
-			w := pathMinWL(a, sp, d.Device)
-			if w > best {
-				best = w
-			}
+			best = max(best, pathMinWL(a, sp, d.Device))
 		}
 		if best > 0 {
 			d.Outputs = append(d.Outputs, o)
-			width[o] = best
+			r.gates = append(r.gates, rGate{name: o, net: o, width: best})
 			d.Sum += best
 		}
 	}
-	if len(d.Outputs) < 2 {
-		d.Refined = d.Sum
+	d.Refined = d.Sum
+	if len(r.gates) < 2 {
 		return d
 	}
 
-	fp := newFrameProver(cc, d.Outputs, cfg.MaxConflicts)
-
-	// Fall analysis with replay validation, as in RefineLevels.
-	cannot := map[string]bool{}
-	dropped := map[string]bool{}
-	for _, o := range d.Outputs {
-		res := fp.canFall(o)
-		switch res.Status {
-		case sat.Unsat:
-			cannot[o] = true
-			d.Stats.CannotFall++
-		case sat.Sat:
-			d.Stats.ReplayChecked++
-			if !replayFall(a, o, fp.frameModel(&res, 0), fp.frameModel(&res, 1)) {
-				dropped[o] = true
-				d.Stats.ReplayFailed++
-			}
+	var pairs [][2]int
+	for i := range r.gates {
+		for j := i + 1; j < len(r.gates); j++ {
+			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-
-	excl := map[[2]string]bool{}
-	budget := cfg.MaxPairs
-	for x := 0; x < len(d.Outputs); x++ {
-		for y := x + 1; y < len(d.Outputs); y++ {
-			ox, oy := d.Outputs[x], d.Outputs[y]
-			if dropped[ox] || dropped[oy] || cannot[ox] || cannot[oy] {
-				continue
-			}
-			d.Stats.CandidatePairs++
-			if budget <= 0 {
-				d.Stats.TruncatedPairs++
-				continue
-			}
-			budget--
-			d.Stats.Queried++
-			if fp.exclusive(ox, oy).Status == sat.Unsat {
-				excl[[2]string{ox, oy}] = true
-				d.Stats.Proven++
-				d.Pairs = append(d.Pairs, ox+" × "+oy)
-			}
-		}
+	r.Stats.CandidatePairs = len(pairs)
+	r.Stats.Gates = len(r.gates)
+	err := r.prove(cc, cfg, pairs)
+	d.Stats = r.Stats
+	if err != nil {
+		d.Stats.Fallback = err.Error() // keep the naive sum
+		return d
 	}
-	sort.Strings(d.Pairs)
-	d.Stats.Gates = len(d.Outputs)
-	d.Stats.Queries = fp.queries
-	d.Stats.Unknown = fp.unknown
-	d.Stats.PathTruncated = fp.truncatedOutputs()
-
-	isExcl := func(x, y string) bool {
-		if cannot[x] || cannot[y] {
-			return true
-		}
-		if x > y {
-			x, y = y, x
-		}
-		return excl[[2]string{x, y}]
+	ids := make([]int, len(r.gates))
+	for i := range ids {
+		ids[i] = i
 	}
-
-	// Greedy grouping over the outputs, widest first.
-	members := append([]string{}, d.Outputs...)
-	sort.Slice(members, func(i, j int) bool {
-		if width[members[i]] != width[members[j]] {
-			return width[members[i]] > width[members[j]]
-		}
-		return members[i] < members[j]
-	})
-	var groups [][]string
-	for _, o := range members {
-		placed := false
-		for gi, grp := range groups {
-			ok := true
-			for _, other := range grp {
-				if !isExcl(o, other) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				groups[gi] = append(groups[gi], o)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			groups = append(groups, []string{o})
-			d.Refined += width[o]
-		}
-	}
-	if d.Refined > d.Sum {
-		d.Refined = d.Sum
-	}
+	d.Refined = min(r.groupMax(ids), d.Sum)
+	d.Pairs = r.PairsFor(-1, len(r.excl))
 	return d
 }
 

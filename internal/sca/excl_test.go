@@ -68,22 +68,64 @@ func TestRefineLevelsSelectTree(t *testing.T) {
 }
 
 func TestRefineLevelsWorkerInvariance(t *testing.T) {
-	c := selectCircuit(t, 6)
-	var base *Refinement
-	for _, workers := range []int{1, 2, 8} {
-		r, err := RefineLevels(c, ExclConfig{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	// The 4x4 multiplier's 40 fall gates and 153 queried pairs span
+	// several chunks, which fill one shared path cache concurrently.
+	tech := mosfet.Tech03()
+	mult := circuits.CarrySaveMultiplier(&tech, 4, 15e-15).Circuit
+	for _, c := range []*circuit.Circuit{selectCircuit(t, 6), mult} {
+		var base *Refinement
+		for _, workers := range []int{1, 2, 8} {
+			r, err := RefineLevels(c, ExclConfig{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", c.Name, workers, err)
+			}
+			if base == nil {
+				base = r
+				continue
+			}
+			if !reflect.DeepEqual(r.Refined, base.Refined) || !reflect.DeepEqual(r.Pairs, base.Pairs) {
+				t.Errorf("%s, workers=%d: result differs from serial run", c.Name, workers)
+			}
+			if r.Stats != base.Stats {
+				t.Errorf("%s, workers=%d: stats differ: %+v vs %+v", c.Name, workers, r.Stats, base.Stats)
+			}
 		}
-		if base == nil {
-			base = r
-			continue
+	}
+}
+
+// TestRefineDeckWorkerInvariance: the deck refinement fans out on
+// sched.Map like RefineLevels and gives the same result at any worker
+// count — on mutexDeck (one chunk) and on the expanded 6-bit select
+// tree, whose 666 candidate pairs span 11 chunks sharing one path
+// cache.
+func TestRefineDeckWorkerInvariance(t *testing.T) {
+	sel := selectCircuit(t, 6)
+	if err := sel.SetDomainWL(0, 10); err != nil {
+		t.Fatal(err)
+	}
+	stim := circuit.Stimulus{Old: map[string]bool{}, New: map[string]bool{}, TEdge: 1e-9, TRise: 50e-12}
+	for _, in := range sel.Inputs {
+		stim.Old[in.Name], stim.New[in.Name] = false, true
+	}
+	nl, err := sel.Netlist(stim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selFlat, err := nl.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*netlist.Flat{"mutexDeck": parseFlat(t, mutexDeck), "select6": selFlat} {
+		a := Analyze(f, Config{})
+		base := a.RefineDeck(ExclConfig{Workers: 1})
+		if len(base) != 1 || base[0].Refined >= base[0].Sum {
+			t.Fatalf("%s: serial run did not refine its one sleep device: %+v", name, base)
 		}
-		if !reflect.DeepEqual(r.Refined, base.Refined) || !reflect.DeepEqual(r.Pairs, base.Pairs) {
-			t.Errorf("workers=%d: result differs from serial run", workers)
+		if base[0].Stats.ReplayFailed != 0 {
+			t.Errorf("%s: %d witnesses failed replay", name, base[0].Stats.ReplayFailed)
 		}
-		if r.Stats != base.Stats {
-			t.Errorf("workers=%d: stats differ: %+v vs %+v", workers, r.Stats, base.Stats)
+		if got := a.RefineDeck(ExclConfig{Workers: 2}); !reflect.DeepEqual(got, base) {
+			t.Errorf("%s: workers=2 gives %+v, serial %+v", name, got, base)
 		}
 	}
 }

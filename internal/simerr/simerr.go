@@ -101,38 +101,3 @@ func IsRecoverable(err error) bool {
 		errors.Is(err, ErrBudget) ||
 		errors.Is(err, ErrInternal)
 }
-
-// kindNames maps each sentinel onto a stable wire name. Nothing outside
-// this package reads them; ROADMAP item 3 schedules their removal.
-var kindNames = []struct {
-	kind error
-	name string
-}{
-	{ErrNoConvergence, "no-convergence"},
-	{ErrNumerical, "numerical"},
-	{ErrBudget, "budget"},
-	{ErrCancelled, "cancelled"},
-	{ErrInternal, "internal"},
-}
-
-// KindName returns the stable wire name of err's taxonomy kind, or ""
-// when err is not a classified simulation failure.
-func KindName(err error) string {
-	for _, kn := range kindNames {
-		if errors.Is(err, kn.kind) {
-			return kn.name
-		}
-	}
-	return ""
-}
-
-// KindFromName is the inverse of KindName: it returns the sentinel for
-// a wire name, or nil for an unknown or empty name.
-func KindFromName(name string) error {
-	for _, kn := range kindNames {
-		if kn.name == name {
-			return kn.kind
-		}
-	}
-	return nil
-}

@@ -31,24 +31,6 @@ func TestKindClassifier(t *testing.T) {
 	}
 }
 
-func TestKindNameRoundTrip(t *testing.T) {
-	for _, k := range []error{ErrNoConvergence, ErrNumerical, ErrBudget, ErrCancelled, ErrInternal} {
-		name := KindName(New(k, "shard", "wire"))
-		if name == "" {
-			t.Fatalf("%v has no wire name", k)
-		}
-		if got := KindFromName(name); got != k {
-			t.Fatalf("KindFromName(%q) = %v, want %v", name, got, k)
-		}
-	}
-	if KindName(errors.New("plain")) != "" {
-		t.Fatal("unclassified errors must have no wire name")
-	}
-	if KindFromName("nosuch") != nil || KindFromName("") != nil {
-		t.Fatal("unknown wire names must map to nil")
-	}
-}
-
 func TestIsRecoverable(t *testing.T) {
 	for _, k := range []error{ErrNoConvergence, ErrNumerical, ErrBudget, ErrInternal} {
 		if !IsRecoverable(New(k, "spice", "")) {

@@ -52,7 +52,7 @@ echo "== parallel-sweep gate (-race) =="
 # engines: identical results at any worker count, concurrent runs on
 # shared engines, atomic fault counters.
 go test -race -timeout "$CHECK_TIMEOUT" -count=1 \
-    -run 'TestMap|TestWorkers|TestCompiledConcurrentRuns|TestEngineConcurrentRuns|TestConcurrentInjection|TestWorkerCountIndependence|TestFig7WorkerCountInvariant|TestFig14WorkerCountInvariant|TestWorstVectorSearch|TestSimWLSweep|TestExpWorkersFlag|TestFacadeBatchAndSweep|TestRestartIndependentSeeds|TestRefineLevelsWorkerInvariance|TestRefineWorkerCountInvariant' \
+    -run 'TestMap|TestWorkers|TestCompiledConcurrentRuns|TestEngineConcurrentRuns|TestConcurrentInjection|TestWorkerCountIndependence|TestFig7WorkerCountInvariant|TestFig14WorkerCountInvariant|TestWorstVectorSearch|TestSimWLSweep|TestExpWorkersFlag|TestFacadeBatchAndSweep|TestRestartIndependentSeeds|TestRefineLevelsWorkerInvariance|TestRefineDeckWorkerInvariance|TestRefineWorkerCountInvariant' \
     ./internal/sched/ ./internal/core/ ./internal/spice/ ./internal/faultinject/ \
     ./internal/sizing/ ./internal/experiments/ ./internal/vectors/ ./internal/cli/ \
     ./internal/sca/ .
