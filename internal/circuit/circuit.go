@@ -134,6 +134,16 @@ func (c *Circuit) Outputs() []*Net {
 	return out
 }
 
+// OutputNames returns the observed outputs' names in net-creation
+// order: the nets a transition's delay is measured on.
+func (c *Circuit) OutputNames() []string {
+	var out []string
+	for _, n := range c.Outputs() {
+		out = append(out, n.Name)
+	}
+	return out
+}
+
 // SetLoad attaches an explicit load capacitance to a net.
 func (c *Circuit) SetLoad(name string, farads float64) {
 	c.Net(name).CLoad = farads

@@ -13,6 +13,24 @@ import (
 	"mtcmos/internal/mosfet"
 )
 
+// The smallest widths the generators build; below them they panic, so
+// a caller that takes a width from its user checks it against these.
+const (
+	MinChainLength    = 1 // InverterChain stages
+	MinAdderBits      = 1 // RippleCarryAdder operand bits
+	MinMultiplierBits = 2 // CarrySaveMultiplier operand bits
+	MinSelectBits     = 1 // SelectTree datapath bits
+)
+
+// CheckWidth refuses a width v below a generator minimum, naming it;
+// 0 stands for the caller's default width and passes.
+func CheckWidth(name string, v, least int) error {
+	if v != 0 && v < least {
+		return fmt.Errorf("%s %d: the width must be at least %d (0 = default)", name, v, least)
+	}
+	return nil
+}
+
 // InverterTree builds the paper's clock-distribution inverter tree
 // (Fig. 4): one root inverter, then fanning out by branch at each
 // further level, every leaf output loaded with load farads. The
@@ -57,8 +75,8 @@ func InverterTree(tech *mosfet.Tech, levels, branch int, load float64) *circuit.
 // output "out" with the given output load; intermediate nets are
 // "n1".."n<n-1>".
 func InverterChain(tech *mosfet.Tech, n int, load float64) *circuit.Circuit {
-	if n < 1 {
-		panic("circuits: InverterChain needs n >= 1")
+	if n < MinChainLength {
+		panic(fmt.Sprintf("circuits: InverterChain needs n >= %d", MinChainLength))
 	}
 	c := circuit.New(fmt.Sprintf("invchain-%d", n), tech)
 	c.Input("in")
@@ -109,8 +127,8 @@ type Adder struct {
 // Inputs are "a0".."a<n-1>", "b0".."b<n-1>" and "cin"; outputs
 // "s0".."s<n-1>" and "cout", each loaded with load farads.
 func RippleCarryAdder(tech *mosfet.Tech, bits int, load float64) *Adder {
-	if bits < 1 {
-		panic("circuits: RippleCarryAdder needs bits >= 1")
+	if bits < MinAdderBits {
+		panic(fmt.Sprintf("circuits: RippleCarryAdder needs bits >= %d", MinAdderBits))
 	}
 	c := circuit.New(fmt.Sprintf("rca-%db", bits), tech)
 	for i := 0; i < bits; i++ {
@@ -184,8 +202,8 @@ type Multiplier struct {
 // are "x0".."x<n-1>" and "y0".."y<n-1>"; product-bit nets (see
 // ProductNets) are marked as outputs and loaded with load farads.
 func CarrySaveMultiplier(tech *mosfet.Tech, n int, load float64) *Multiplier {
-	if n < 2 {
-		panic("circuits: CarrySaveMultiplier needs n >= 2")
+	if n < MinMultiplierBits {
+		panic(fmt.Sprintf("circuits: CarrySaveMultiplier needs n >= %d", MinMultiplierBits))
 	}
 	c := circuit.New(fmt.Sprintf("csm-%dx%d", n, n), tech)
 	for i := 0; i < n; i++ {
@@ -304,8 +322,8 @@ func (m *Multiplier) Result(vals map[string]bool) uint64 {
 // prove, where the purely topological level bound must charge both
 // branches to the same arrival window.
 func SelectTree(tech *mosfet.Tech, bits int, load float64) *circuit.Circuit {
-	if bits < 1 {
-		panic("circuits: SelectTree needs bits >= 1")
+	if bits < MinSelectBits {
+		panic(fmt.Sprintf("circuits: SelectTree needs bits >= %d", MinSelectBits))
 	}
 	c := circuit.New(fmt.Sprintf("seltree-%d", bits), tech)
 	c.Input("sel")

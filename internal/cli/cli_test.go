@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"mtcmos/internal/netlist"
 )
 
 func TestExpListsExperiments(t *testing.T) {
@@ -182,18 +185,24 @@ func TestSizeUnknownCircuit(t *testing.T) {
 	}
 }
 
+// TestParseValueSuffixes: -wl and -tstop parse with the deck parser's
+// netlist.ParseValue, so "10ns" means what it means in a deck.
 func TestParseValueSuffixes(t *testing.T) {
 	cases := map[string]float64{
-		"20n": 20e-9, "5p": 5e-12, "3u": 3e-6, "1.5": 1.5, "2m": 2e-3, "7f": 7e-15,
+		"20n": 20e-9, "5p": 5e-12, "3u": 3e-6, "1.5": 1.5, "2m": 2e-3, "7f": 7e-15, "10ns": 10e-9,
 	}
 	for in, want := range cases {
-		got, err := parseValue(in)
+		got, err := netlist.ParseValue(in)
 		if err != nil || got != want {
-			t.Errorf("parseValue(%q) = %g, %v", in, got, err)
+			t.Errorf("ParseValue(%q) = %g, %v", in, got, err)
 		}
 	}
-	if _, err := parseValue("zz"); err == nil {
+	if _, err := netlist.ParseValue("zz"); err == nil {
 		t.Error("bad value must fail")
+	}
+	var buf bytes.Buffer
+	if err := Sim([]string{"-circuit", "tree", "-wl", "8", "-engine", "spice", "-tstop", "10ns"}, &buf); err != nil {
+		t.Fatalf("-tstop 10ns: %v", err)
 	}
 }
 
@@ -285,6 +294,33 @@ func TestVersionFlagAllTools(t *testing.T) {
 		}
 		if !strings.Contains(buf.String(), name+" ") || !strings.Contains(buf.String(), "rev ") {
 			t.Fatalf("%s -version output %q missing tool name or revision", name, buf.String())
+		}
+	}
+}
+
+// TestSimNetlistSortedNodes: deck nodes print sorted by name, so two
+// runs of one deck print the same text.
+func TestSimNetlistSortedNodes(t *testing.T) {
+	deck := filepath.Join("..", "..", "examples", "decks", "mtcmos_inverter.sp")
+	var first string
+	for run := 0; run < 3; run++ {
+		var buf bytes.Buffer
+		if err := Sim([]string{"-netlist", deck, "-tstop", "2n"}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		var nodes []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == "node" {
+				nodes = append(nodes, f[1])
+			}
+		}
+		if len(nodes) < 2 || !sort.StringsAreSorted(nodes) {
+			t.Fatalf("nodes not sorted: %v", nodes)
+		}
+		if run == 0 {
+			first = buf.String()
+		} else if buf.String() != first {
+			t.Fatalf("run %d printed differently:\n%s\nvs\n%s", run, buf.String(), first)
 		}
 	}
 }

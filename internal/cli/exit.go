@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/simerr"
 )
 
@@ -64,8 +65,8 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 // width below what the circuit generator can build; 0 keeps meaning
 // the default width.
 func checkWidth(flagName string, v, least int) error {
-	if v != 0 && v < least {
-		return fmt.Errorf("%w: -%s %d: the width must be at least %d (0 = default)", errUsage, flagName, v, least)
+	if err := circuits.CheckWidth("-"+flagName, v, least); err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mtcmos"
+	"mtcmos/internal/circuits"
 )
 
 // Exp implements the mtexp command: it regenerates the paper's tables
@@ -48,9 +49,9 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		return nil
 	}
 	// mtexp reports errors on w, not through its caller.
-	err = checkWidth("mult", *multN, 2)
+	err = checkWidth("mult", *multN, circuits.MinMultiplierBits)
 	if err == nil {
-		err = checkWidth("adder", *adderN, 1)
+		err = checkWidth("adder", *adderN, circuits.MinAdderBits)
 	}
 	if err != nil {
 		fmt.Fprintln(w, "mtexp:", err)

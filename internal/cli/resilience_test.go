@@ -182,3 +182,16 @@ func TestSizeCancelledAborts(t *testing.T) {
 		t.Errorf("exit code = %d, want %d", ExitCode(err), ExitCancelled)
 	}
 }
+
+// TestSizeRefinedHonoursContext: the refined bound's proof fan-outs
+// run under the command's context, so a cancelled run exits 5 instead
+// of finishing the proofs.
+func TestSizeRefinedHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var buf bytes.Buffer
+	err := SizeContext(ctx, []string{"-circuit", "mult", "-bits", "4", "-estimate", "refined", "-nolint"}, &buf)
+	if ExitCode(err) != ExitCancelled {
+		t.Errorf("exit code = %d (%v), want %d", ExitCode(err), err, ExitCancelled)
+	}
+}

@@ -7,11 +7,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 
 	"mtcmos"
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/lint"
+	"mtcmos/internal/netlist"
 )
 
 // Sim implements the mtsim command: simulate one input-vector
@@ -70,7 +73,7 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 
 	var wls []float64
 	for _, part := range strings.Split(*wlS, ",") {
-		v, err := parseValue(part)
+		v, err := netlist.ParseValue(part)
 		if err != nil {
 			return fmt.Errorf("bad -wl %q: %w", part, err)
 		}
@@ -136,7 +139,7 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	case "spice":
 		ts := 20e-9
 		if *tstop != "" {
-			v, err := parseValue(*tstop)
+			v, err := netlist.ParseValue(*tstop)
 			if err != nil {
 				return err
 			}
@@ -181,11 +184,9 @@ func runSweep(w io.Writer, c *mtcmos.Circuit, stim mtcmos.Stimulus, outs []strin
 	}
 	tb := &mtcmos.Table{Title: "Switch-level sleep-size sweep", Columns: []string{"W/L", "worst_delay_ns", "worst_net", "peakVx_mV", "events"}}
 	for i, res := range results {
-		worst, worstNet := 0.0, "-"
-		for _, n := range outs {
-			if d, ok := res.Delay(n); ok && d > worst {
-				worst, worstNet = d, n
-			}
+		worst, worstNet, _ := res.MaxDelay(outs)
+		if worstNet == "" {
+			worstNet = "-"
 		}
 		tb.Addf("%g\t%.4g\t%s\t%.1f\t%d", wls[i], worst*1e9, worstNet, res.PeakVx*1e3, res.Events)
 	}
@@ -197,28 +198,6 @@ func parseUint(s string, base int) (uint64, error) {
 	return strconv.ParseUint(strings.TrimSpace(s), base, 64)
 }
 
-// parseValue accepts engineering suffixes (20n, 5p).
-func parseValue(s string) (float64, error) {
-	mult := 1.0
-	s = strings.TrimSpace(strings.ToLower(s))
-	if len(s) > 0 {
-		switch s[len(s)-1] {
-		case 'f':
-			mult, s = 1e-15, s[:len(s)-1]
-		case 'p':
-			mult, s = 1e-12, s[:len(s)-1]
-		case 'n':
-			mult, s = 1e-9, s[:len(s)-1]
-		case 'u':
-			mult, s = 1e-6, s[:len(s)-1]
-		case 'm':
-			mult, s = 1e-3, s[:len(s)-1]
-		}
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	return v * mult, err
-}
-
 func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mtcmos.Stimulus, []string, error) {
 	stim := mtcmos.Stimulus{TEdge: 1e-9, TRise: 50e-12}
 	switch kind {
@@ -228,9 +207,9 @@ func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mt
 		o := oldS != "1"
 		stim.Old = map[string]bool{"in": !o}
 		stim.New = map[string]bool{"in": newS != "0"}
-		return c, stim, outNames(c), nil
+		return c, stim, c.OutputNames(), nil
 	case "chain":
-		if err := checkWidth("bits", bits, 1); err != nil {
+		if err := checkWidth("bits", bits, circuits.MinChainLength); err != nil {
 			return nil, stim, nil, err
 		}
 		tech := mtcmos.Tech07()
@@ -241,9 +220,9 @@ func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mt
 		c := mtcmos.InverterChain(&tech, n, 20e-15)
 		stim.Old = map[string]bool{"in": oldS == "1"}
 		stim.New = map[string]bool{"in": newS != "0"}
-		return c, stim, outNames(c), nil
+		return c, stim, c.OutputNames(), nil
 	case "adder":
-		if err := checkWidth("bits", bits, 1); err != nil {
+		if err := checkWidth("bits", bits, circuits.MinAdderBits); err != nil {
 			return nil, stim, nil, err
 		}
 		tech := mtcmos.Tech07()
@@ -261,9 +240,9 @@ func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mt
 		}
 		stim.Old = ad.Inputs(oa, ob, false)
 		stim.New = ad.Inputs(na, nb, false)
-		return ad.Circuit, stim, outNames(ad.Circuit), nil
+		return ad.Circuit, stim, ad.Circuit.OutputNames(), nil
 	case "mult":
-		if err := checkWidth("bits", bits, 2); err != nil {
+		if err := checkWidth("bits", bits, circuits.MinMultiplierBits); err != nil {
 			return nil, stim, nil, err
 		}
 		tech := mtcmos.Tech03()
@@ -333,26 +312,25 @@ func pair(s string, base int, da, db uint64) (uint64, uint64, error) {
 	return a, b, nil
 }
 
-func outNames(c *mtcmos.Circuit) []string {
-	var out []string
-	for _, n := range c.Outputs() {
-		out = append(out, n.Name)
+// sortedKeys returns a map's keys in order, so nodes print the same way
+// on every run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return out
+	sort.Strings(keys)
+	return keys
 }
 
 func printVBS(w io.Writer, res *mtcmos.SwitchResult, outs []string, plot bool) {
 	fmt.Fprintf(w, "events: %d  (switch-level breakpoints)\n", res.Events)
-	worst, worstNet := 0.0, ""
 	for _, n := range outs {
 		if d, ok := res.Delay(n); ok {
 			fmt.Fprintf(w, "delay %-12s %.4g ns\n", n, d*1e9)
-			if d > worst {
-				worst, worstNet = d, n
-			}
 		}
 	}
-	if worstNet != "" {
+	if worst, worstNet, _ := res.MaxDelay(outs); worstNet != "" {
 		fmt.Fprintf(w, "worst delay: %.4g ns on %s\n", worst*1e9, worstNet)
 	} else {
 		fmt.Fprintln(w, "no observed output toggled")
@@ -364,7 +342,8 @@ func printVBS(w io.Writer, res *mtcmos.SwitchResult, outs []string, plot bool) {
 	if res.NoiseMarginLoss > 0 {
 		fmt.Fprintf(w, "noise margin loss (reverse conduction): %.1f mV\n", res.NoiseMarginLoss*1e3)
 	}
-	for name, pw := range res.Waves {
+	for _, name := range sortedKeys(res.Waves) {
+		pw := res.Waves[name]
 		fmt.Fprintf(w, "wave %s: %d breakpoints, final %.3g V\n", name, len(pw.T), pw.Final())
 		if plot {
 			plotPWL(w, name, pw)
@@ -382,6 +361,15 @@ func plotPWL(w io.Writer, name string, p *mtcmos.PWL) {
 	fmt.Fprintln(w, s.Plot(64, 12))
 }
 
+// plotTrace plots about 60 of a trace's samples.
+func plotTrace(w io.Writer, name string, tr *mtcmos.Trace) {
+	s := newSeries(name)
+	for i := 0; i < tr.Len(); i += 1 + tr.Len()/60 {
+		s.Add(tr.T[i]*1e9, tr.V[i])
+	}
+	fmt.Fprintln(w, s.Plot(64, 12))
+}
+
 func newSeries(name string) *mtcmos.Series {
 	s := &mtcmos.Series{Title: name, XLabel: "t_ns", YLabels: []string{"V"}}
 	return s
@@ -389,16 +377,12 @@ func newSeries(name string) *mtcmos.Series {
 
 func printSpice(w io.Writer, c *mtcmos.Circuit, res *mtcmos.SpiceResult, outs []string, traced string, plot bool) {
 	fmt.Fprintf(w, "steps: %d  newton iterations: %d  device evals: %d\n", res.Steps, res.Sweeps, res.Evals)
-	worst, worstNet := 0.0, ""
 	for _, n := range outs {
 		if d, err := res.Delay(n); err == nil {
 			fmt.Fprintf(w, "delay %-12s %.4g ns\n", n, d*1e9)
-			if d > worst {
-				worst, worstNet = d, n
-			}
 		}
 	}
-	if worstNet != "" {
+	if worst, worstNet, err := res.MaxDelay(outs); err == nil {
 		fmt.Fprintf(w, "worst delay: %.4g ns on %s\n", worst*1e9, worstNet)
 	}
 	if vg := res.VGndTrace(); vg != nil {
@@ -413,11 +397,7 @@ func printSpice(w io.Writer, c *mtcmos.Circuit, res *mtcmos.SpiceResult, outs []
 			}
 			fmt.Fprintf(w, "trace %s: %d samples, final %.3g V\n", n, tr.Len(), tr.Final())
 			if plot {
-				s := newSeries(n)
-				for i := 0; i < tr.Len(); i += 1 + tr.Len()/60 {
-					s.Add(tr.T[i]*1e9, tr.V[i])
-				}
-				fmt.Fprintln(w, s.Plot(64, 12))
+				plotTrace(w, n, tr)
 			}
 		}
 	}
@@ -444,7 +424,7 @@ func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced str
 	}
 	ts := 10e-9
 	if tstop != "" {
-		v, err := parseValue(tstop)
+		v, err := netlist.ParseValue(tstop)
 		if err != nil {
 			return err
 		}
@@ -459,14 +439,11 @@ func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced str
 		return err
 	}
 	fmt.Fprintf(w, "steps: %d  newton iterations: %d\n", res.Steps, res.Sweeps)
-	for name, tr := range res.Traces {
+	for _, name := range sortedKeys(res.Traces) {
+		tr := res.Traces[name]
 		fmt.Fprintf(w, "node %-14s final %.4g V (%d samples)\n", name, tr.Final(), tr.Len())
 		if plot {
-			s := newSeries(name)
-			for i := 0; i < tr.Len(); i += 1 + tr.Len()/60 {
-				s.Add(tr.T[i]*1e9, tr.V[i])
-			}
-			fmt.Fprintln(w, s.Plot(64, 12))
+			plotTrace(w, name, tr)
 		}
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 
 	"mtcmos"
+	"mtcmos/internal/circuits"
 )
 
 // Size implements the mtsize command: size a benchmark circuit's sleep
@@ -64,7 +65,7 @@ func SizeContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	cfg.Ctx = ctx
+	cfg.Sim.Ctx = ctx
 	cfg.Sim.MaxEvents = *maxStep
 	cfg.Workers = *jobs
 	if !*nolint {
@@ -90,7 +91,7 @@ func SizeContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	}
 
 	if want("refined") {
-		st, err := mtcmos.SizeForStaticLevel(c, mtcmos.WithRefinement(mtcmos.ExclusionConfig{Workers: *jobs}))
+		st, err := mtcmos.SizeForStaticLevel(c, mtcmos.WithRefinement(mtcmos.ExclusionConfig{Workers: *jobs, Ctx: ctx}))
 		if err != nil {
 			return fmt.Errorf("refined: %w", err)
 		}
@@ -164,7 +165,7 @@ func SizeContext(ctx context.Context, args []string, w io.Writer) (err error) {
 			return fmt.Errorf("-standby needs a sized device; include the delay or peak estimator")
 		}
 		c.SleepWL = wl
-		sb, err := mtcmos.Standby(c, trs[0].Old)
+		sb, err := mtcmos.StandbyContext(ctx, c, trs[0].Old)
 		if err != nil {
 			return fmt.Errorf("standby: %w", err)
 		}
@@ -188,7 +189,7 @@ func build(kind string, bits, nvec int, seed int64) (*mtcmos.Circuit, mtcmos.Siz
 		}
 		return c, mtcmos.SizingConfig{}, trs, nil
 	case "adder":
-		if err := checkWidth("bits", bits, 1); err != nil {
+		if err := checkWidth("bits", bits, circuits.MinAdderBits); err != nil {
 			return nil, mtcmos.SizingConfig{}, nil, err
 		}
 		tech := mtcmos.Tech07()
@@ -212,7 +213,7 @@ func build(kind string, bits, nvec int, seed int64) (*mtcmos.Circuit, mtcmos.Siz
 		}
 		return ad.Circuit, mtcmos.SizingConfig{}, trs, nil
 	case "mult":
-		if err := checkWidth("bits", bits, 2); err != nil {
+		if err := checkWidth("bits", bits, circuits.MinMultiplierBits); err != nil {
 			return nil, mtcmos.SizingConfig{}, nil, err
 		}
 		tech := mtcmos.Tech03()
@@ -235,7 +236,7 @@ func build(kind string, bits, nvec int, seed int64) (*mtcmos.Circuit, mtcmos.Siz
 		}
 		return m.Circuit, mtcmos.SizingConfig{Outputs: m.ProductNets}, trs, nil
 	case "select":
-		if err := checkWidth("bits", bits, 1); err != nil {
+		if err := checkWidth("bits", bits, circuits.MinSelectBits); err != nil {
 			return nil, mtcmos.SizingConfig{}, nil, err
 		}
 		tech := mtcmos.Tech07()

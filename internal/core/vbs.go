@@ -21,11 +21,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"mtcmos/internal/circuit"
 	"mtcmos/internal/mosfet"
@@ -56,14 +54,11 @@ type Options struct {
 	// failure (see DESIGN.md §8).
 	MaxEvents int
 
-	// Ctx cancels the run between events; a cancelled run returns the
-	// partial Result with an ErrCancelled failure (ErrBudget when the
-	// context carries a budget cause).
+	// Ctx cancels the run between events and is its wall-clock budget:
+	// a fired context returns the partial Result with the failure
+	// simerr.FromContext classifies (ErrBudget on a deadline or a
+	// budget cause, ErrCancelled otherwise).
 	Ctx context.Context
-
-	// MaxWall bounds wall-clock time (0 = unlimited), checked
-	// periodically between events.
-	MaxWall time.Duration
 
 	// TStop optionally caps simulated time after the input edge;
 	// default is to run until the circuit quiesces.
@@ -258,26 +253,6 @@ func Simulate(c *circuit.Circuit, stim circuit.Stimulus, opts Options) (*Result,
 	return cp.Run(stim, opts)
 }
 
-// checkBudgets enforces cancellation and the wall-clock budget between
-// events, classifying the failure so callers can tell a user-requested
-// stop (ErrCancelled) from an exhausted allowance (ErrBudget).
-func (s *sim) checkBudgets(t float64, ev int, start time.Time) error {
-	if s.o.Ctx != nil {
-		if err := s.o.Ctx.Err(); err != nil {
-			kind, msg := simerr.ErrCancelled, err.Error()
-			if cause := context.Cause(s.o.Ctx); cause != nil && errors.Is(cause, simerr.ErrBudget) {
-				kind, msg = simerr.ErrBudget, cause.Error()
-			}
-			return &simerr.Error{Kind: kind, Op: "core", T: t, Steps: ev, Msg: msg}
-		}
-	}
-	if s.o.MaxWall > 0 && time.Since(start) > s.o.MaxWall {
-		return &simerr.Error{Kind: simerr.ErrBudget, Op: "core", T: t, Steps: ev,
-			Msg: "wall clock budget " + s.o.MaxWall.String() + " exhausted"}
-	}
-	return nil
-}
-
 func (s *sim) trace(name string, t, v float64) {
 	if !s.traced[name] {
 		return
@@ -457,18 +432,18 @@ func (s *sim) run(stim circuit.Stimulus) error {
 	t := 0.0
 	s.tNow = 0
 	s.recompute(0)
-	start := time.Now()
 
 	for ev := 0; ; ev++ {
 		if ev >= s.o.MaxEvents {
 			return &simerr.Error{Kind: simerr.ErrBudget, Op: "core", T: t, Steps: ev,
 				Msg: fmt.Sprintf("exceeded %d events (oscillating circuit?)", s.o.MaxEvents)}
 		}
-		// Cancellation and the wall budget are polled every few events:
-		// cheap enough to keep in the hot loop, frequent enough that
-		// overshoot stays negligible.
+		// The context is polled every few events: cheap enough to keep
+		// in the hot loop, frequent enough that overshoot stays
+		// negligible.
 		if ev%64 == 0 {
-			if err := s.checkBudgets(t, ev, start); err != nil {
+			if err := simerr.FromContext(s.o.Ctx, "core"); err != nil {
+				err.T, err.Steps = t, ev
 				return err
 			}
 		}

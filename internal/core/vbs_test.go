@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mtcmos/internal/circuit"
 	"mtcmos/internal/circuits"
@@ -152,15 +151,11 @@ func TestVGndStepwiseTrace(t *testing.T) {
 	}
 }
 
-func peak(p interface {
-	Max(t0, t1 float64) float64
+func peak(w interface {
+	At(float64) float64
+	End() float64
 }) (float64, float64) {
 	// crude scan for test purposes
-	type pw interface {
-		At(float64) float64
-		End() float64
-	}
-	w := p.(pw)
 	best, bt := -1.0, 0.0
 	end := w.End()
 	for i := 0; i <= 1000; i++ {
@@ -482,9 +477,14 @@ func TestBudgetAndCancellationTyped(t *testing.T) {
 		t.Fatalf("budget-caused deadline must classify as ErrBudget, got %v", err)
 	}
 
-	res, err = Simulate(c, stim, Options{MaxWall: time.Nanosecond})
+	// A plain deadline is the wall-clock budget: ErrBudget, as sched
+	// and the reference engine classify it.
+	dctx, dcancel := context.WithTimeout(context.Background(), 0)
+	defer dcancel()
+	<-dctx.Done()
+	res, err = Simulate(c, stim, Options{Ctx: dctx})
 	if !errors.Is(err, simerr.ErrBudget) {
-		t.Fatalf("MaxWall must classify as ErrBudget, got %v", err)
+		t.Fatalf("a plain deadline must classify as ErrBudget, got %v", err)
 	}
 	if res == nil {
 		t.Fatal("partial result must be returned on wall budget")

@@ -49,7 +49,7 @@ func Fig13(cfg Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs := outputNames(ad.Circuit)
+	outs := ad.Circuit.OutputNames()
 	type point struct{ dv, ds float64 }
 	pts, err := sched.Map(cfg.Ctx, cfg.Workers, len(fig13WLs), func(i int) (point, error) {
 		wl := fig13WLs[i]
@@ -142,7 +142,7 @@ func Fig14(cfg Config) (*Output, error) {
 		ok             bool // toggles S2 and has a measurable baseline delay
 	}
 	ad := paperAdder(cfg.AdderBits)
-	outs := outputNames(ad.Circuit)
+	outs := ad.Circuit.OutputNames()
 	s2 := fmt.Sprintf("s%d", cfg.AdderBits-1)
 	cp, err := core.Compile(ad.Circuit)
 	if err != nil {
@@ -289,7 +289,7 @@ func Speedup(cfg Config) (*Output, error) {
 			ov, _ := ad.Evaluate(ad.Inputs(o%half, o/half, false))
 			nv, _ := ad.Evaluate(ad.Inputs(w%half, w/half, false))
 			toggles := false
-			for _, net := range outputNames(ad.Circuit) {
+			for _, net := range ad.Circuit.OutputNames() {
 				if ov[net] != nv[net] {
 					toggles = true
 					break
@@ -324,7 +324,7 @@ func AblationReverse(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "reverse", Title: "Sec. 2.3 ablation: reverse conduction"}
 	ad := paperAdder(cfg.AdderBits)
-	outs := outputNames(ad.Circuit)
+	outs := ad.Circuit.OutputNames()
 	tb := report.NewTable("Reverse conduction on the 3-bit adder (worst vector (0,0)->(7,1))",
 		"W/L", "delay_ns", "delay_rc_ns", "speedup_pct", "noise_margin_loss_mV")
 	for _, wl := range []float64{4, 8, 16} {

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -15,6 +16,7 @@ import (
 	"mtcmos/internal/core"
 	"mtcmos/internal/mosfet"
 	"mtcmos/internal/report"
+	"mtcmos/internal/sizing"
 	"mtcmos/internal/spice"
 )
 
@@ -63,6 +65,12 @@ func (c Config) simOpts(o core.Options) core.Options {
 	return o
 }
 
+// sizingCfg is a sizing configuration over the given outputs (nil =
+// the circuit's marked outputs) that carries the run context.
+func (c Config) sizingCfg(outputs []string) sizing.Config {
+	return sizing.Config{Outputs: outputs, Sim: c.simOpts(core.Options{})}
+}
+
 func (c Config) withDefaults() Config {
 	if c.MultiplierBits == 0 {
 		c.MultiplierBits = 8
@@ -97,9 +105,11 @@ type Experiment struct {
 	Paper string // which paper artifact it regenerates
 }
 
-// Registry lists every experiment in paper order.
+// Registry lists every experiment in paper order. Each runner first
+// checks MultiplierBits and AdderBits against the generators' minimums
+// (circuits.Min*), so a bad width is an error, not a generator panic.
 func Registry() []Experiment {
-	return []Experiment{
+	reg := []Experiment{
 		{"fig5", "inverter-tree output and virtual-ground transients vs sleep W/L", Fig5, "Fig. 5"},
 		{"fig7", "8x8 multiplier delay vs sleep W/L for vectors A and B", Fig7, "Fig. 7"},
 		{"table1", "multiplier delay degradation at selected W/L; per-vector 5% sizing", Table1, "Table 1"},
@@ -121,6 +131,19 @@ func Registry() []Experiment {
 		{"sca", "static level bound vs sum-of-widths vs simulated discharge width; CCC partition", SCA, "Sec. 2"},
 		{"refine", "SAT-proven mutual-exclusion refinement of the static level bound", Refine, "Sec. 2"},
 	}
+	for i := range reg {
+		run := reg[i].Run
+		reg[i].Run = func(cfg Config) (*Output, error) {
+			if err := errors.Join(
+				circuits.CheckWidth("MultiplierBits", cfg.MultiplierBits, circuits.MinMultiplierBits),
+				circuits.CheckWidth("AdderBits", cfg.AdderBits, circuits.MinAdderBits),
+			); err != nil {
+				return nil, fmt.Errorf("experiments: %w", err)
+			}
+			return run(cfg)
+		}
+	}
+	return reg
 }
 
 // Find returns the experiment with the given ID.
@@ -173,14 +196,6 @@ func treeStim() circuit.Stimulus {
 	}
 }
 
-func outputNames(c *circuit.Circuit) []string {
-	var out []string
-	for _, n := range c.Outputs() {
-		out = append(out, n.Name)
-	}
-	return out
-}
-
 // vbsDelay measures the worst settling delay over the outputs with the
 // switch-level simulator.
 func vbsDelay(cfg Config, c *circuit.Circuit, stim circuit.Stimulus, opts core.Options) (float64, *core.Result, error) {
@@ -188,7 +203,7 @@ func vbsDelay(cfg Config, c *circuit.Circuit, stim circuit.Stimulus, opts core.O
 	if err != nil {
 		return 0, nil, err
 	}
-	d, _, ok := res.MaxDelay(outputNames(c))
+	d, _, ok := res.MaxDelay(c.OutputNames())
 	if !ok {
 		return 0, res, fmt.Errorf("experiments: no output toggled")
 	}
@@ -196,44 +211,16 @@ func vbsDelay(cfg Config, c *circuit.Circuit, stim circuit.Stimulus, opts core.O
 }
 
 // spiceDelay measures the worst settling delay over the outputs with
-// the reference engine. TStop must comfortably cover the transition.
+// the reference engine (spice.RunResult.MaxDelay: the last Vdd/2
+// crossing after the edge, as the switch-level engine measures it).
+// TStop must comfortably cover the transition.
 func spiceDelay(cfg Config, c *circuit.Circuit, stim circuit.Stimulus, tstop float64) (float64, *spice.RunResult, error) {
 	res, err := spice.Run(c, stim, spice.RunOptions{Options: spice.Options{TStop: tstop, Ctx: cfg.Ctx}})
 	if err != nil {
 		return 0, nil, err
 	}
-	worst := 0.0
-	any := false
-	vdd := c.Tech.Vdd
-	for _, n := range outputNames(c) {
-		tr := res.OutTrace(n)
-		if tr == nil {
-			continue
-		}
-		// Last crossing of Vdd/2 after the edge = settling delay,
-		// consistent with the switch-level measure.
-		from := stim.TEdge + stim.TRise/2
-		last, found := 0.0, false
-		at := from
-		for {
-			tc, ok := tr.Crossing(vdd/2, at, 0)
-			if !ok {
-				break
-			}
-			last, found = tc, true
-			at = tc + 1e-13
-		}
-		if found {
-			any = true
-			if d := last - from; d > worst {
-				worst = d
-			}
-		}
-	}
-	if !any {
-		return 0, res, fmt.Errorf("experiments: no output toggled in reference engine")
-	}
-	return worst, res, nil
+	d, _, err := res.MaxDelay(c.OutputNames())
+	return d, res, err
 }
 
 // paperSelect builds the N-bit decoded-select datapath used by the

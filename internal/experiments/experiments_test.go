@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"mtcmos/internal/simerr"
 )
 
 // fastCfg keeps the smoke tests quick: switch-level only, 4x4
@@ -379,5 +383,22 @@ func TestRefineWorkerCountInvariant(t *testing.T) {
 	}
 	if a, b := render(1), render(8); a != b {
 		t.Errorf("refine output differs between -j 1 and -j 8:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestExperimentsHonourContext: every simulation, proof and DC solve an
+// experiment runs carries cfg.Ctx, so a cancelled run stops with
+// ErrCancelled instead of finishing.
+func TestExperimentsHonourContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func(Config) (*Output, error){
+		"widths": Widths, "hier": Hier, "sca": SCA, "refine": Refine, "standby": StandbyExp,
+	} {
+		cfg := fastCfg()
+		cfg.Ctx = ctx
+		if _, err := run(cfg); !errors.Is(err, simerr.ErrCancelled) {
+			t.Errorf("%s under a cancelled context: err = %v, want ErrCancelled", name, err)
+		}
 	}
 }

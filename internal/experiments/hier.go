@@ -62,7 +62,7 @@ func Hier(cfg Config) (*Output, error) {
 		}})
 
 	for _, j := range jobs {
-		hcfg := hierarchy.Config{Blocks: j.blocks, MaxBounce: 0.05}
+		hcfg := hierarchy.Config{Blocks: j.blocks, MaxBounce: 0.05, Sim: cfg.simOpts(core.Options{})}
 		plan, err := hierarchy.Analyze(j.c, hcfg, j.trs)
 		if err != nil {
 			return nil, err

@@ -129,7 +129,7 @@ func Table1(cfg Config) (*Output, error) {
 	}
 	trA := mk(vectorA, "A")
 	trB := mk(vectorB, "B")
-	cfgS := sizing.Config{Outputs: m.ProductNets, Ctx: cfg.Ctx}
+	cfgS := cfg.sizingCfg(m.ProductNets)
 
 	// The 3x2 degradation grid fans out on the executor: each cell is
 	// one independent Degradation measurement.
@@ -184,7 +184,7 @@ func Peak(cfg Config) (*Output, error) {
 	n := cfg.MultiplierBits
 	oa, ob, na, nb := vectorA(n)
 	trA := sizing.Transition{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}
-	cfgS := sizing.Config{Outputs: m.ProductNets, Ctx: cfg.Ctx}
+	cfgS := cfg.sizingCfg(m.ProductNets)
 
 	// Paper: 50mV fixed bounce budget gives about 5% degradation.
 	pk, err := sizing.PeakCurrent(m.Circuit, cfgS, []sizing.Transition{trA}, 0.05)
@@ -237,7 +237,7 @@ func Widths(cfg Config) (*Output, error) {
 		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
 		{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
 	}
-	if err := add("inverter tree", tree, sizing.Config{}, treeTrs); err != nil {
+	if err := add("inverter tree", tree, cfg.sizingCfg(nil), treeTrs); err != nil {
 		return nil, err
 	}
 
@@ -255,7 +255,7 @@ func Widths(cfg Config) (*Output, error) {
 			Label: fmt.Sprintf("%d->%d", o, w),
 		})
 	}
-	if err := add("3-bit adder", ad.Circuit, sizing.Config{}, adTrs); err != nil {
+	if err := add("3-bit adder", ad.Circuit, cfg.sizingCfg(nil), adTrs); err != nil {
 		return nil, err
 	}
 
@@ -263,7 +263,7 @@ func Widths(cfg Config) (*Output, error) {
 	oa, ob, na, nb := vectorA(cfg.MultiplierBits)
 	mTrs := []sizing.Transition{{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}}
 	if err := add(fmt.Sprintf("%dx%d multiplier", cfg.MultiplierBits, cfg.MultiplierBits),
-		m.Circuit, sizing.Config{Outputs: m.ProductNets}, mTrs); err != nil {
+		m.Circuit, cfg.sizingCfg(m.ProductNets), mTrs); err != nil {
 		return nil, err
 	}
 

@@ -38,14 +38,14 @@ func Refine(cfg Config) (*Output, error) {
 		{Old: selVec(true, 0xff, 0xff), New: selVec(true, 0xff, 0), Label: "B falls"},
 	}
 
-	benches := append(ladderBenches(cfg), ladderBench{"8-bit select tree", sel, sizing.Config{}, selTrs})
+	benches := append(ladderBenches(cfg), ladderBench{"8-bit select tree", sel, cfg.sizingCfg(nil), selTrs})
 
 	tb := report.NewTable("Bound ladder (W/L units)",
 		"circuit", "gates", "simulated", "refined", "static level", "sum-of-widths", "proven excl", "refinement")
 	tightened := 0
 	proofs := make([]*sca.ExclusionStats, len(benches))
 	for i, b := range benches {
-		st, err := sizing.StaticLevel(b.c, sizing.Refine(sca.ExclConfig{Workers: cfg.Workers}))
+		st, err := sizing.StaticLevel(b.c, sizing.Refine(sca.ExclConfig{Workers: cfg.Workers, Ctx: cfg.Ctx}))
 		if err != nil {
 			return nil, fmt.Errorf("refine: %s: %w", b.name, err)
 		}

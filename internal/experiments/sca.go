@@ -112,9 +112,9 @@ func ladderBenches(cfg Config) []ladderBench {
 	mTrs := []sizing.Transition{{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}}
 
 	return []ladderBench{
-		{"inverter tree", tree, sizing.Config{Ctx: cfg.Ctx}, treeTrs},
-		{fmt.Sprintf("%d-bit adder", cfg.AdderBits), ad.Circuit, sizing.Config{}, adTrs},
+		{"inverter tree", tree, cfg.sizingCfg(nil), treeTrs},
+		{fmt.Sprintf("%d-bit adder", cfg.AdderBits), ad.Circuit, cfg.sizingCfg(nil), adTrs},
 		{fmt.Sprintf("%dx%d multiplier", cfg.MultiplierBits, cfg.MultiplierBits),
-			m.Circuit, sizing.Config{Outputs: m.ProductNets}, mTrs},
+			m.Circuit, cfg.sizingCfg(m.ProductNets), mTrs},
 	}
 }

@@ -34,7 +34,7 @@ func Screen(cfg Config) (*Output, error) {
 	out := &Output{ID: "screen", Title: "Sec. 5/7: narrowing the vector space with cheap screens"}
 	const wl = 10.0
 	ad := paperAdder(cfg.AdderBits)
-	outs := outputNames(ad.Circuit)
+	outs := ad.Circuit.OutputNames()
 	space := adderSpace(cfg.AdderBits)
 	half := uint64(1) << uint(cfg.AdderBits)
 	eq := ad.Circuit.Equiv()

@@ -27,7 +27,7 @@ func StandbyExp(cfg Config) (*Output, error) {
 	for _, wl := range []float64{5, 20, 80, 320} {
 		ad := paperAdder(bits)
 		ad.SleepWL = wl
-		res, err := spice.Standby(ad.Circuit, ad.Inputs(3, 0, false))
+		res, err := spice.StandbyContext(cfg.Ctx, ad.Circuit, ad.Inputs(3, 0, false))
 		if err != nil {
 			return nil, err
 		}

@@ -177,13 +177,10 @@ func Analyze(c *circuit.Circuit, cfg Config, trs []Transition) (*Plan, error) {
 		plan.Overlap[i] = make([]bool, nb)
 	}
 
-	// Measure activity in plain-CMOS mode: worst-case current overlap
-	// (a sleep device would spread the windows, which only reduces
-	// instantaneous overlap current).
-	saved := c.SleepWL
-	c.SleepWL = 0
-	defer func() { c.SleepWL = saved }()
-
+	cp, err := core.Compile(c)
+	if err != nil {
+		return nil, err
+	}
 	eq := c.Equiv()
 	// Per-gate discharge current at full drive (the CMOS saturation
 	// current of the equivalent pulldown).
@@ -197,8 +194,11 @@ func Analyze(c *circuit.Circuit, cfg Config, trs []Transition) (*Plan, error) {
 	opts := cfg.Sim
 	opts.RecordActivity = true
 	for _, tr := range trs {
+		// Measure activity in plain-CMOS mode: worst-case current
+		// overlap (a sleep device would spread the windows, which only
+		// reduces instantaneous overlap current).
 		stim := circuit.Stimulus{Old: tr.Old, New: tr.New, TEdge: cfg.TEdge, TRise: cfg.TRise}
-		res, err := core.Simulate(c, stim, opts)
+		res, err := cp.RunWL(0, stim, opts)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy: transition %s: %w", tr.Label, err)
 		}

@@ -1,7 +1,9 @@
 package hierarchy
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mtcmos/internal/circuit"
@@ -235,5 +237,37 @@ func TestIntervalOverlaps(t *testing.T) {
 		if got := a.Overlaps(c.b); got != c.want {
 			t.Errorf("Overlaps(%v) = %v", c.b, got)
 		}
+	}
+}
+
+// TestAnalyzeConcurrent: Analyze measures in plain-CMOS mode through a
+// run parameter instead of writing the circuit's SleepWL, so analyses
+// of one circuit can run at once (the race detector checks it in
+// scripts/check.sh's parallel-sweep gate).
+func TestAnalyzeConcurrent(t *testing.T) {
+	c := circuits.InverterChain(tech07(), 8, 20e-15)
+	c.SleepWL = 6
+	blocks, err := PartitionByLevel(c, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Blocks: blocks, MaxBounce: 0.05}
+	want, err := Analyze(c, cfg, chainTransitions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := Analyze(c, cfg, chainTransitions()); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent Analyze = %+v, %v; want %+v", got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.SleepWL != 6 {
+		t.Errorf("SleepWL = %g, want 6", c.SleepWL)
 	}
 }

@@ -1,6 +1,7 @@
 package sca
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"mtcmos/internal/circuit"
 	"mtcmos/internal/sat"
 	"mtcmos/internal/sched"
+	"mtcmos/internal/simerr"
 )
 
 // SAT-backed mutual-exclusion refinement of the static sleep-sizing
@@ -67,6 +69,12 @@ type ExclConfig struct {
 	// Workers bounds the sched.Map fan-out (0 = one per CPU, 1 =
 	// serial). Results are identical for any value.
 	Workers int
+
+	// Ctx carries the run's context into both fan-outs and the witness
+	// replays. Once it fires, RefineLevels returns the failure
+	// simerr.FromContext classifies instead of falling back to the
+	// static bound.
+	Ctx context.Context
 }
 
 func (c ExclConfig) withDefaults() ExclConfig {
@@ -172,7 +180,8 @@ func RefinedLevelBound(c *circuit.Circuit) (float64, error) {
 // its own solver, and sched.Map merges in index order. Any failure to
 // build or analyze the deck degrades to the unrefined PR 2 bound
 // (Stats.Fallback says why) rather than erroring: the refinement is an
-// optimization, never a correctness gate.
+// optimization, never a correctness gate. The one exception is a fired
+// cfg.Ctx, which RefineLevels returns as a classified error.
 func RefineLevels(c *circuit.Circuit, cfg ExclConfig) (*Refinement, error) {
 	cfg = cfg.withDefaults()
 	l, err := Levelize(c)
@@ -227,8 +236,12 @@ func RefineLevels(c *circuit.Circuit, cfg ExclConfig) (*Refinement, error) {
 		return fallback(err.Error()), nil
 	}
 
-	// Stages 2 and 3: fall analysis, then the pair proofs.
+	// Stages 2 and 3: fall analysis, then the pair proofs. A fired
+	// context is the caller's stop, not a proof failure to degrade on.
 	if err := r.prove(newConeCache(a), cfg, pairs); err != nil {
+		if k := simerr.Kind(err); k == simerr.ErrCancelled || k == simerr.ErrBudget {
+			return nil, err
+		}
 		return fallback(err.Error()), nil
 	}
 
@@ -447,7 +460,7 @@ func (r *Refinement) fallAnalysis(cc *coneCache, cfg ExclConfig, pairs [][2]int)
 	sort.Ints(ids)
 
 	chunks := chunkInts(ids, exclChunkGates)
-	results, err := sched.Map(nil, sched.Workers(cfg.Workers), len(chunks), func(ci int) ([]fallVerdict, error) {
+	results, err := sched.Map(cfg.Ctx, sched.Workers(cfg.Workers), len(chunks), func(ci int) ([]fallVerdict, error) {
 		chunk := chunks[ci]
 		roots := make([]string, len(chunk))
 		for i, id := range chunk {
@@ -496,6 +509,10 @@ func (r *Refinement) fallAnalysis(cc *coneCache, cfg ExclConfig, pairs [][2]int)
 				// both frames must be internally consistent. A gate whose
 				// witness the replay rejects is dropped from the
 				// refinement entirely (encoder distrust ⇒ PR 2 answer).
+				// Replays run serially here, so each one checks the context.
+				if err := simerr.FromContext(cfg.Ctx, "sca"); err != nil {
+					return err
+				}
 				r.Stats.ReplayChecked++
 				if !replayFall(cc.a, g.net, v.m0, v.m1) {
 					g.dropped = true
@@ -550,7 +567,7 @@ type pairVerdict struct {
 // fixed-size chunks on sched.Map.
 func (r *Refinement) provePairs(cc *coneCache, cfg ExclConfig, pairs [][2]int) error {
 	chunks := chunkPairs(pairs, exclChunkPairs)
-	results, err := sched.Map(nil, sched.Workers(cfg.Workers), len(chunks), func(ci int) ([]pairVerdict, error) {
+	results, err := sched.Map(cfg.Ctx, sched.Workers(cfg.Workers), len(chunks), func(ci int) ([]pairVerdict, error) {
 		chunk := chunks[ci]
 		rootSet := map[string]bool{}
 		for _, p := range chunk {

@@ -1,6 +1,8 @@
 package sca
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"mtcmos/internal/circuits"
 	"mtcmos/internal/mosfet"
 	"mtcmos/internal/netlist"
+	"mtcmos/internal/simerr"
 )
 
 // selectCircuit builds the canonical mutually-exclusive structure: two
@@ -64,6 +67,22 @@ func TestRefineLevelsSelectTree(t *testing.T) {
 		if r.Refined[li] > r.StaticWidths[li] {
 			t.Errorf("level %d: refined %.1f exceeds static %.1f", li+1, r.Refined[li], r.StaticWidths[li])
 		}
+	}
+}
+
+// TestRefineLevelsContext: a fired ExclConfig.Ctx stops the refinement
+// with its classified failure instead of degrading to the static bound.
+func TestRefineLevelsContext(t *testing.T) {
+	c := selectCircuit(t, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r, err := RefineLevels(c, ExclConfig{Ctx: ctx}); !errors.Is(err, simerr.ErrCancelled) {
+		t.Errorf("cancelled context: (%+v, %v), want ErrCancelled", r, err)
+	}
+	bctx, bcancel := context.WithCancelCause(context.Background())
+	bcancel(simerr.New(simerr.ErrBudget, "test", "budget spent"))
+	if r, err := RefineLevels(c, ExclConfig{Ctx: bctx}); !errors.Is(err, simerr.ErrBudget) {
+		t.Errorf("budget cause: (%+v, %v), want ErrBudget", r, err)
 	}
 }
 

@@ -11,9 +11,10 @@
 //     early return would. Items already in flight are drained.
 //   - MapAll runs every item and reports per-item errors, for callers
 //     with a tolerate-and-degrade policy (sizing.delaysTolerant).
-//   - Context cancellation is classified through the simerr taxonomy:
-//     undispatched items fail with simerr.ErrCancelled, or
-//     simerr.ErrBudget when context.Cause carries a budget overrun.
+//   - Context cancellation is classified by simerr.FromContext, the
+//     rule the engines use too: undispatched items fail with
+//     simerr.ErrBudget on a deadline or a budget cause, and with
+//     simerr.ErrCancelled otherwise.
 //   - A panic inside an item is recovered into a typed
 //     simerr.ErrInternal result for that item instead of tearing the
 //     whole process down; the lowest-index error contract is
@@ -27,7 +28,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -115,8 +115,9 @@ func run(ctx context.Context, workers, n int, fn func(i int) error, firstErr boo
 		}
 	}
 	step := func(i int) {
-		if err := ctx.Err(); err != nil {
-			record(i, CtxErr(ctx))
+		if err := simerr.FromContext(ctx, "sched"); err != nil {
+			err.Msg = "sweep stopped before the item ran: " + err.Msg
+			record(i, err)
 			return
 		}
 		// A panicking item must not take down the pool or the process:
@@ -171,24 +172,4 @@ func run(ctx context.Context, workers, n int, fn func(i int) error, firstErr boo
 		return errAt, first
 	}
 	return errAt, -1
-}
-
-// CtxErr classifies a fired context through the simerr taxonomy so
-// sweeps report budget overruns and cancellations the same way the
-// engines themselves do: a classified context.Cause wins, a deadline
-// maps to ErrBudget, anything else to ErrCancelled.
-func CtxErr(ctx context.Context) error {
-	cause := context.Cause(ctx)
-	if cause != nil && simerr.Kind(cause) != nil {
-		return cause
-	}
-	kind := simerr.ErrCancelled
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		kind = simerr.ErrBudget
-	}
-	msg := "sweep aborted before item ran"
-	if cause != nil && !errors.Is(cause, ctx.Err()) {
-		msg = cause.Error()
-	}
-	return simerr.New(kind, "sched", msg)
 }

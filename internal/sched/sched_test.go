@@ -105,7 +105,7 @@ func TestMapCancellationClassified(t *testing.T) {
 			close(started)
 		}
 		<-ctx.Done()
-		return 0, CtxErr(ctx)
+		return 0, simerr.FromContext(ctx, "test")
 	})
 	if !errors.Is(err, simerr.ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)

@@ -10,10 +10,9 @@
 //     ramping) without finding a solution;
 //   - ErrNumerical: a NaN or Inf appeared in the solution vector — the
 //     run is numerically poisoned and stops immediately;
-//   - ErrBudget: a caller-imposed budget (steps, events, device
-//     evaluations, wall clock) ran out;
-//   - ErrCancelled: the run's context was cancelled (Ctrl-C, parent
-//     deadline);
+//   - ErrBudget: a caller-imposed budget ran out: a step or event
+//     cap, or the run's context deadline (the wall-clock budget);
+//   - ErrCancelled: the run's context was cancelled (Ctrl-C);
 //   - ErrInternal: the machinery around a run failed rather than the
 //     simulation itself — e.g. a sweep item panicked.
 //
@@ -23,9 +22,13 @@
 // result computed up to the failure alongside the error, so callers
 // can salvage waveforms (and the CLI can map kinds onto distinct exit
 // codes).
+//
+// The context is the only wall-clock budget, and FromContext is the one
+// rule that classifies a fired context, for every engine and sweep.
 package simerr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -78,6 +81,26 @@ func (e *Error) Unwrap() error { return e.Kind }
 // New builds a classified error for engine op.
 func New(kind error, op, msg string) *Error {
 	return &Error{Kind: kind, Op: op, Msg: msg}
+}
+
+// FromContext classifies a fired context for engine op: a context.Cause
+// that is already a classified failure keeps its kind, a deadline is
+// ErrBudget, and anything else is ErrCancelled. It returns nil while
+// ctx (which may be nil) has not fired; callers add their own
+// diagnostics to the returned error.
+func FromContext(ctx context.Context, op string) *Error {
+	if ctx == nil || ctx.Err() == nil {
+		return nil
+	}
+	cause := context.Cause(ctx)
+	kind := Kind(cause)
+	if kind == nil {
+		kind = ErrCancelled
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			kind = ErrBudget
+		}
+	}
+	return &Error{Kind: kind, Op: op, Msg: cause.Error()}
 }
 
 // Kind returns the taxonomy sentinel err belongs to, or nil if err is

@@ -8,7 +8,6 @@
 package sizing
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -33,11 +32,9 @@ type Config struct {
 	Outputs []string
 	// TEdge/TRise shape the applied edges (defaults 1ns / 50ps).
 	TEdge, TRise float64
-	// Sim options forwarded to the switch-level simulator.
+	// Sim options forwarded to the switch-level simulator; its Ctx
+	// cancels the whole search and bounds its wall clock (DESIGN.md §8).
 	Sim core.Options
-	// Ctx cancels the whole search (copied into Sim.Ctx when that is
-	// unset); see DESIGN.md §8.
-	Ctx context.Context
 	// Workers caps the per-transition simulation fan-out (0 = one
 	// worker per CPU, 1 = serial). Results and errors are independent
 	// of the worker count; see DESIGN.md §9.
@@ -47,18 +44,13 @@ type Config struct {
 func (cfg *Config) withDefaults(c *circuit.Circuit) Config {
 	out := *cfg
 	if out.Outputs == nil {
-		for _, n := range c.Outputs() {
-			out.Outputs = append(out.Outputs, n.Name)
-		}
+		out.Outputs = c.OutputNames()
 	}
 	if out.TEdge <= 0 {
 		out.TEdge = 1e-9
 	}
 	if out.TRise <= 0 {
 		out.TRise = 50e-12
-	}
-	if out.Sim.Ctx == nil {
-		out.Sim.Ctx = out.Ctx
 	}
 	return out
 }
@@ -74,15 +66,6 @@ func SumOfWidths(c *circuit.Circuit) float64 {
 	return c.SumNMOSWidthWL()
 }
 
-// domsAt returns the compiled domain snapshot with domain 0's sleep
-// size overridden: the run-parameter replacement for the old
-// mutate-SleepWL-and-restore idiom (which raced under parallel runs).
-func domsAt(cp *core.Compiled, wl float64) []circuit.Domain {
-	doms := cp.Domains()
-	doms[0].SleepWL = wl
-	return doms
-}
-
 // delayOut is one transition's measured worst output delay.
 type delayOut struct {
 	d  float64
@@ -90,12 +73,12 @@ type delayOut struct {
 }
 
 // delaysOn fans the transitions out over the sweep executor, all
-// against one compiled engine at one domain configuration, and folds
-// the worst delay. Fails with the lowest-indexed transition's error,
-// exactly like the serial loop it replaced.
-func delaysOn(cp *core.Compiled, doms []circuit.Domain, cf Config, trs []Transition) (float64, error) {
+// against one compiled engine with domain 0 at sleep size wl, and
+// folds the worst delay. Fails with the lowest-indexed transition's
+// error, exactly like the serial loop it replaced.
+func delaysOn(cp *core.Compiled, wl float64, cf Config, trs []Transition) (float64, error) {
 	outs, err := sched.Map(cf.Sim.Ctx, cf.Workers, len(trs), func(i int) (delayOut, error) {
-		res, rerr := cp.RunDomains(doms, cf.stim(trs[i]), cf.Sim)
+		res, rerr := cp.RunWL(wl, cf.stim(trs[i]), cf.Sim)
 		if rerr != nil {
 			return delayOut{}, fmt.Errorf("sizing: transition %s: %w", trs[i].Label, rerr)
 		}
@@ -129,7 +112,7 @@ func Delays(c *circuit.Circuit, cfg Config, trs []Transition) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return delaysOn(cp, cp.Domains(), cf, trs)
+	return delaysOn(cp, c.SleepWL, cf, trs)
 }
 
 // delaysTolerant is delaysOn with per-transition fault tolerance: a
@@ -144,9 +127,9 @@ func Delays(c *circuit.Circuit, cfg Config, trs []Transition) (float64, error) {
 // Every transition runs (concurrently, per Config.Workers), but
 // outcomes are folded in transition order, so warnings and the
 // reported error are identical to the serial path's.
-func delaysTolerant(cp *core.Compiled, doms []circuit.Domain, cf Config, trs []Transition) (float64, []string, error) {
+func delaysTolerant(cp *core.Compiled, wl float64, cf Config, trs []Transition) (float64, []string, error) {
 	outs, errs := sched.MapAll(cf.Sim.Ctx, cf.Workers, len(trs), func(i int) (delayOut, error) {
-		res, err := cp.RunDomains(doms, cf.stim(trs[i]), cf.Sim)
+		res, err := cp.RunWL(wl, cf.stim(trs[i]), cf.Sim)
 		if err != nil {
 			return delayOut{}, err
 		}
@@ -197,11 +180,11 @@ func Degradation(c *circuit.Circuit, cfg Config, trs []Transition, wl float64) (
 	if err != nil {
 		return 0, err
 	}
-	base, err := delaysOn(cp, domsAt(cp, 0), cf, trs)
+	base, err := delaysOn(cp, 0, cf, trs)
 	if err != nil {
 		return 0, err
 	}
-	mt, err := delaysOn(cp, domsAt(cp, wl), cf, trs)
+	mt, err := delaysOn(cp, wl, cf, trs)
 	if err != nil {
 		return 0, err
 	}
@@ -265,7 +248,7 @@ func DelayTarget(c *circuit.Circuit, cfg Config, trs []Transition, target, hi fl
 		return res, nil
 	}
 
-	base, warns, err := delaysTolerant(cp, domsAt(cp, 0), cf, trs)
+	base, warns, err := delaysTolerant(cp, 0, cf, trs)
 	res.Warnings = append(res.Warnings, warns...)
 	if err != nil {
 		return fail(err)
@@ -277,7 +260,7 @@ func DelayTarget(c *circuit.Circuit, cfg Config, trs []Transition, target, hi fl
 		hi = 64 * SumOfWidths(c)
 	}
 	degAt := func(wl float64) (float64, error) {
-		d, warns, err := delaysTolerant(cp, domsAt(cp, wl), cf, trs)
+		d, warns, err := delaysTolerant(cp, wl, cf, trs)
 		res.Warnings = append(res.Warnings, warns...)
 		if err != nil {
 			return 0, err
@@ -348,9 +331,8 @@ func PeakCurrent(c *circuit.Circuit, cfg Config, trs []Transition, maxBounce flo
 	// Measure the raw discharge-current profile on a huge sleep device:
 	// effectively ideal ground, but the MTCMOS path still records the
 	// total current through the rail.
-	doms := domsAt(cp, 1e7)
 	peaks, err := sched.Map(cf.Sim.Ctx, cf.Workers, len(trs), func(i int) (float64, error) {
-		res, rerr := cp.RunDomains(doms, cf.stim(trs[i]), cf.Sim)
+		res, rerr := cp.RunWL(1e7, cf.stim(trs[i]), cf.Sim)
 		if rerr != nil {
 			return 0, fmt.Errorf("sizing: transition %s: %w", trs[i].Label, rerr)
 		}

@@ -199,7 +199,7 @@ func TestDelayTargetDegradesToStaticLevel(t *testing.T) {
 	// sizing answer.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DelayTarget(c, Config{Ctx: ctx}, trs, 0.05, 0); !errors.Is(err, simerr.ErrCancelled) {
+	if _, err := DelayTarget(c, Config{Sim: core.Options{Ctx: ctx}}, trs, 0.05, 0); !errors.Is(err, simerr.ErrCancelled) {
 		t.Fatalf("cancelled search must return ErrCancelled, got %v", err)
 	}
 }
@@ -215,7 +215,7 @@ func TestDelaysTolerantSkipsFailingTransition(t *testing.T) {
 	}
 
 	// Healthy baseline: both transitions usable, no warnings.
-	worst, warns, err := delaysTolerant(cp, cp.Domains(), cf, treeTransitions())
+	worst, warns, err := delaysTolerant(cp, c.SleepWL, cf, treeTransitions())
 	if err != nil || len(warns) != 0 || worst <= 0 {
 		t.Fatalf("clean run: worst=%g warns=%v err=%v", worst, warns, err)
 	}

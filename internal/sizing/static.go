@@ -98,22 +98,23 @@ func StaticLevel(c *circuit.Circuit, opts ...StaticLevelOption) (*StaticLevelRes
 // transistor actually has to carry at the worst moment — and on any
 // transition it can reach at most the StaticLevel bound's worst level
 // all discharging at once, and at most SumOfWidths with every gate
-// discharging.
+// discharging. The circuit is compiled once and never mutated, so
+// concurrent sizing calls on one circuit are safe.
 func SimultaneousWidth(c *circuit.Circuit, cfg Config, trs []Transition) (float64, error) {
 	cf := cfg.withDefaults(c)
 	opts := cf.Sim
 	opts.RecordActivity = true
-
-	saved := c.SleepWL
-	defer func() { c.SleepWL = saved }()
-	// Measure in plain-CMOS mode: an undersized sleep device stretches
-	// the discharge windows and would overlap levels that do not
-	// overlap at speed.
-	c.SleepWL = 0
+	cp, err := core.Compile(c)
+	if err != nil {
+		return 0, err
+	}
 
 	worst := 0.0
 	for _, tr := range trs {
-		res, err := core.Simulate(c, cf.stim(tr), opts)
+		// Measure in plain-CMOS mode: an undersized sleep device
+		// stretches the discharge windows and would overlap levels that
+		// do not overlap at speed.
+		res, err := cp.RunWL(0, cf.stim(tr), opts)
 		if err != nil {
 			return 0, fmt.Errorf("sizing: transition %s: %w", tr.Label, err)
 		}

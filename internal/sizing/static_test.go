@@ -2,6 +2,7 @@ package sizing
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"mtcmos/internal/circuits"
@@ -60,6 +61,45 @@ func TestSimultaneousWidthRestoresSleepWL(t *testing.T) {
 	}
 	if c.SleepWL != 7 {
 		t.Errorf("SleepWL = %g after measurement, want 7", c.SleepWL)
+	}
+}
+
+// TestSimultaneousWidthConcurrent: SimultaneousWidth measures in
+// plain-CMOS mode through a run parameter, never by writing the
+// circuit's SleepWL, so it shares a circuit with a concurrent
+// Degradation (whose Compile reads SleepWL). The race detector checks
+// this in scripts/check.sh's parallel-sweep gate.
+func TestSimultaneousWidthConcurrent(t *testing.T) {
+	c := circuits.InverterTree(tech07(), 3, 3, 50e-15)
+	c.SleepWL = 8
+	trs := treeTransitions()
+	wantW, err := SimultaneousWidth(c, Config{}, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantD, err := Degradation(c, Config{}, trs, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if w, err := SimultaneousWidth(c, Config{Workers: 1}, trs); err != nil || w != wantW {
+				t.Errorf("concurrent SimultaneousWidth = %g, %v; want %g", w, err, wantW)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if d, err := Degradation(c, Config{Workers: 1}, trs, 8); err != nil || d != wantD {
+				t.Errorf("concurrent Degradation = %g, %v; want %g", d, err, wantD)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.SleepWL != 8 {
+		t.Errorf("SleepWL = %g, want 8", c.SleepWL)
 	}
 }
 

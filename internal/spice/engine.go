@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"mtcmos/internal/mosfet"
 	"mtcmos/internal/netlist"
@@ -56,19 +55,14 @@ type Options struct {
 
 	// --- Robustness (see DESIGN.md §8) ---
 
-	// Ctx cancels the run between step attempts; a cancelled run
-	// returns the partial Result with an ErrCancelled failure (or
-	// ErrBudget when the context carries a budget cause).
+	// Ctx cancels the run between step attempts and is its wall-clock
+	// budget: a fired context returns the partial Result with the
+	// failure simerr.FromContext classifies (ErrBudget on a deadline
+	// or a budget cause, ErrCancelled otherwise).
 	Ctx context.Context
 	// MaxSteps bounds accepted timesteps (0 = unlimited); exceeding it
 	// returns the partial Result with an ErrBudget failure.
 	MaxSteps int
-	// MaxEvals bounds total device evaluations (0 = unlimited),
-	// checked between step attempts.
-	MaxEvals int
-	// MaxWall bounds wall-clock time (0 = unlimited), checked between
-	// step attempts.
-	MaxWall time.Duration
 	// Recovery can disable the convergence-recovery ladder; the zero
 	// value enables every rung.
 	Recovery Recovery
@@ -505,7 +499,7 @@ func (e *Engine) run(opts Options, final []float64) (*Result, error) {
 
 	res := &Result{Traces: rec, Currents: curTraces}
 	st.t, st.dt = 0, o.DTMax/8
-	st.res, st.record, st.start = res, record, time.Now()
+	st.res, st.record = res, record
 	record(0, true)
 
 	var err error

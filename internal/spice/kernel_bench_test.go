@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"testing"
 
 	"mtcmos/internal/circuit"
@@ -48,7 +49,7 @@ func engineFor(b *testing.B, c *circuit.Circuit, inputs map[string]bool) (*Engin
 // its final node voltages by name.
 func settled(b *testing.B, e *Engine, seed map[string]float64) map[string]float64 {
 	b.Helper()
-	v, err := e.settle(seed)
+	v, err := e.settle(context.Background(), seed)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package spice
 
 import (
+	"context"
 	"fmt"
 	"math"
+
+	"mtcmos/internal/simerr"
 )
 
 // gmin stepping schedule: start heavily loaded toward ground, relax to
@@ -71,7 +74,7 @@ func (e *Engine) OperatingPointStats(seed map[string]float64, tEval float64) ([]
 			v[i] = val
 		}
 	}
-	return e.operatingPoint(v, tEval)
+	return e.operatingPoint(context.TODO(), v, tEval)
 }
 
 // operatingPoint solves the DC steady state from the seed voltages in
@@ -80,8 +83,9 @@ func (e *Engine) OperatingPointStats(seed map[string]float64, tEval float64) ([]
 // cold starts whose straight Newton walks out of the basin. Each ramp
 // stage solves a full gmin ladder at partial supply values and seeds
 // the next; the final stage is the physical problem, so its solution
-// is legitimate.
-func (e *Engine) operatingPoint(v []float64, tEval float64) ([]float64, OPStats, error) {
+// is legitimate. A fired ctx stops the solve between gmin stages and
+// between ramp stages with its classified failure.
+func (e *Engine) operatingPoint(ctx context.Context, v []float64, tEval float64) ([]float64, OPStats, error) {
 	var stats OPStats
 	for _, s := range e.srcs {
 		if s.node != groundIdx {
@@ -93,8 +97,8 @@ func (e *Engine) operatingPoint(v []float64, tEval float64) ([]float64, OPStats,
 	}
 	st := e.lease()
 	defer e.release(st)
-	if err := e.opLadder(st.w, v, &stats); err == nil {
-		return v, stats, nil
+	if err := e.opLadder(ctx, st.w, v, &stats); err == nil || simerr.Kind(err) != nil {
+		return v, stats, err // solved, or the context fired: no ramp rescue
 	}
 	stats.Ramped = true
 	clear(v)
@@ -104,7 +108,7 @@ func (e *Engine) operatingPoint(v []float64, tEval float64) ([]float64, OPStats,
 				v[s.node] = lambda * s.v.At(tEval)
 			}
 		}
-		if err := e.opLadder(st.w, v, &stats); err != nil {
+		if err := e.opLadder(ctx, st.w, v, &stats); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -131,9 +135,9 @@ func (e *Engine) opApply(v, delta []float64, scale float64) float64 {
 // stage, damped Newton steps (per-component clamp plus a backtracking
 // line search on the residual norm) until the stage tolerance holds,
 // then on the final stage a polish to a stationary point. Returns an
-// error only when the final stage cannot reach even the relaxed
-// residual bound.
-func (e *Engine) opLadder(w *spWork, v []float64, stats *OPStats) error {
+// error when the final stage cannot reach even the relaxed residual
+// bound, or the classified failure when ctx fires before a stage.
+func (e *Engine) opLadder(ctx context.Context, w *spWork, v []float64, stats *OPStats) error {
 	sym := e.sp.sym
 	// residual stamps the system at v (refreshing the Jacobian too)
 	// and returns the residual's infinity norm.
@@ -158,6 +162,9 @@ func (e *Engine) opLadder(w *spWork, v []float64, stats *OPStats) error {
 	vsave := make([]float64, len(v))
 	last := len(opGmins) - 1
 	for gi, gmin := range opGmins {
+		if err := simerr.FromContext(ctx, "spice"); err != nil {
+			return err
+		}
 		converged := false
 		maxf := residual(gmin)
 		for iter := 0; iter < 80; iter++ {

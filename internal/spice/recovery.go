@@ -1,10 +1,7 @@
 package spice
 
 import (
-	"context"
-	"errors"
 	"math"
-	"time"
 
 	"mtcmos/internal/simerr"
 )
@@ -101,7 +98,6 @@ type runState struct {
 	t, dt            float64
 	res              *Result
 	record           func(t float64, force bool)
-	start            time.Time
 
 	// Device-evaluation interception (fault injection) for this run.
 	icept Intercept
@@ -144,26 +140,14 @@ func (e *Engine) stepError(kind error, st *runState, node int32, t, dt float64, 
 	}
 }
 
-// checkBudgets enforces cancellation and the step/eval/wall budgets;
-// called between step attempts so overshoot is at most one attempt.
+// checkBudgets enforces the context and the step budget; called
+// between step attempts so overshoot is at most one attempt.
 func (e *Engine) checkBudgets(o *Options, st *runState) error {
-	if o.Ctx != nil {
-		if err := o.Ctx.Err(); err != nil {
-			kind, msg := simerr.ErrCancelled, err.Error()
-			if cause := context.Cause(o.Ctx); cause != nil && errors.Is(cause, simerr.ErrBudget) {
-				kind, msg = simerr.ErrBudget, cause.Error()
-			}
-			return e.stepError(kind, st, -1, st.t, st.dt, msg)
-		}
-	}
-	if o.MaxWall > 0 && time.Since(st.start) > o.MaxWall {
-		return e.stepError(simerr.ErrBudget, st, -1, st.t, st.dt, "wall clock budget "+o.MaxWall.String()+" exhausted")
+	if err := simerr.FromContext(o.Ctx, "spice"); err != nil {
+		return e.stepError(err.Kind, st, -1, st.t, st.dt, err.Msg)
 	}
 	if o.MaxSteps > 0 && st.res.Steps >= o.MaxSteps {
 		return e.stepError(simerr.ErrBudget, st, -1, st.t, st.dt, "step budget exhausted")
-	}
-	if o.MaxEvals > 0 && st.res.Evals >= o.MaxEvals {
-		return e.stepError(simerr.ErrBudget, st, -1, st.t, st.dt, "device-evaluation budget exhausted")
 	}
 	return nil
 }

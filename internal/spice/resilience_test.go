@@ -3,9 +3,9 @@ package spice
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"mtcmos/internal/circuit"
 	"mtcmos/internal/circuits"
@@ -35,28 +35,6 @@ func TestMaxStepsBudget(t *testing.T) {
 	}
 	if tr := res.Trace("out"); tr == nil || tr.Len() < 2 {
 		t.Error("partial result must carry the accepted waveform")
-	}
-}
-
-func TestMaxEvalsBudget(t *testing.T) {
-	f := flatten(t, resilienceDeck)
-	res, err := Simulate(f, tech07(), Options{TStop: 4e-9, MaxEvals: 50})
-	if !errors.Is(err, simerr.ErrBudget) {
-		t.Fatalf("want ErrBudget, got %v", err)
-	}
-	if res == nil || res.Evals < 50 {
-		t.Fatalf("partial result must report the spent evaluations, got %+v", res)
-	}
-}
-
-func TestMaxWallBudget(t *testing.T) {
-	f := flatten(t, resilienceDeck)
-	res, err := Simulate(f, tech07(), Options{TStop: 4e-9, MaxWall: time.Nanosecond})
-	if !errors.Is(err, simerr.ErrBudget) {
-		t.Fatalf("want ErrBudget, got %v", err)
-	}
-	if res == nil {
-		t.Fatal("partial result must be returned")
 	}
 }
 
@@ -246,5 +224,57 @@ func TestRunReturnsPartialOnFailure(t *testing.T) {
 	}
 	if tr := rr.OutTrace("out"); tr == nil || tr.Len() < 2 {
 		t.Error("partial result must carry the pre-failure waveform")
+	}
+}
+
+// TestStandbyContext: the context form of Standby stops its warm-up and
+// DC solves under a fired context, classified like every other run.
+func TestStandbyContext(t *testing.T) {
+	ad := circuits.RippleCarryAdder(tech07(), 2, 20e-15)
+	ad.SleepWL = 10
+	in := ad.Inputs(1, 2, false)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := StandbyContext(ctx, ad.Circuit, in); !errors.Is(err, simerr.ErrCancelled) {
+		t.Errorf("cancelled context: err = %v, want ErrCancelled", err)
+	}
+	bctx, bcancel := context.WithCancelCause(context.Background())
+	bcancel(simerr.New(simerr.ErrBudget, "test", "budget spent"))
+	if _, err := StandbyContext(bctx, ad.Circuit, in); !errors.Is(err, simerr.ErrBudget) {
+		t.Errorf("budget cause: err = %v, want ErrBudget", err)
+	}
+	want, err := Standby(ad.Circuit, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := StandbyContext(context.Background(), ad.Circuit, in)
+	if err != nil || *got != *want {
+		t.Errorf("live context: %+v, %v; want %+v", got, err, want)
+	}
+}
+
+// TestRunDelayIsSettlingDelay: on the 3-bit adder's (0,0)->(7,1) edge
+// at W/L 10, s1 and s2 glitch through Vdd/2 and come back. Delay is
+// the last crossing after the edge, as the switch-level engine
+// measures it, so the glitches report their settling time and the
+// worst delay is s2's, not cout's.
+func TestRunDelayIsSettlingDelay(t *testing.T) {
+	ad := circuits.RippleCarryAdder(tech07(), 3, 20e-15)
+	ad.SleepWL = 10
+	stim := circuit.Stimulus{Old: ad.Inputs(0, 0, false), New: ad.Inputs(7, 1, false), TEdge: 1e-9, TRise: 50e-12}
+	res, err := Run(ad.Circuit, stim, RunOptions{Options: Options{TStop: 20e-9, SampleDT: 20e-12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ net, want string }{{"s1", "3.185"}, {"cout", "4.467"}, {"s2", "4.908"}} {
+		d, err := res.Delay(c.net)
+		if got := fmt.Sprintf("%.4g", d*1e9); err != nil || got != c.want {
+			t.Errorf("delay %s = %s ns (%v), want %s ns", c.net, got, err, c.want)
+		}
+	}
+	d, net, err := res.MaxDelay([]string{"s0", "s1", "s2", "cout"})
+	if got := fmt.Sprintf("%.4g", d*1e9); err != nil || net != "s2" || got != "4.908" {
+		t.Errorf("worst delay %s ns on %s (%v), want 4.908 ns on s2", got, net, err)
 	}
 }

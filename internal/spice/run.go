@@ -34,22 +34,26 @@ func (r *RunResult) VGndTrace() *wave.Trace {
 	return r.Trace(circuit.NodeVGnd)
 }
 
-// Delay measures the 50%-50% propagation delay from the stimulus edge
-// to the named output's first crossing after it (either direction).
+// Delay measures the named output's settling delay: from the stimulus
+// edge's midpoint to the output's last Vdd/2 crossing after it (either
+// direction), the definition core.Result.Delay uses. A glitching
+// output counts from its last crossing, not its first.
 func (r *RunResult) Delay(net string) (float64, error) {
 	tr := r.OutTrace(net)
 	if tr == nil {
 		return 0, fmt.Errorf("spice: net %q was not recorded", net)
 	}
-	tc, ok := tr.Crossing(r.Vdd/2, r.Stim.TEdge+r.Stim.TRise/2, 0)
+	from := r.Stim.TEdge + r.Stim.TRise/2
+	tc, ok := tr.LastCrossing(r.Vdd/2, from)
 	if !ok {
 		return 0, fmt.Errorf("spice: output %q never crosses Vdd/2 after the edge", net)
 	}
-	return tc - (r.Stim.TEdge + r.Stim.TRise/2), nil
+	return tc - from, nil
 }
 
-// MaxDelay returns the largest delay over the given nets (typically the
-// circuit outputs that toggle under the stimulus).
+// MaxDelay returns the largest settling delay over the given nets and
+// the net that set it; a net counts once it crosses Vdd/2 at all. It
+// fails when none of them toggled.
 func (r *RunResult) MaxDelay(nets []string) (float64, string, error) {
 	worst, worstNet := 0.0, ""
 	for _, n := range nets {
@@ -57,7 +61,7 @@ func (r *RunResult) MaxDelay(nets []string) (float64, string, error) {
 		if err != nil {
 			continue // output did not toggle
 		}
-		if d > worst {
+		if worstNet == "" || d > worst {
 			worst, worstNet = d, n
 		}
 	}
@@ -103,9 +107,7 @@ func Run(c *circuit.Circuit, stim circuit.Stimulus, opts RunOptions) (*RunResult
 		if opts.RecordNets != nil {
 			rec = append(rec, opts.RecordNets...)
 		} else {
-			for _, n := range c.Outputs() {
-				rec = append(rec, n.Name)
-			}
+			rec = c.OutputNames()
 			for _, n := range c.Inputs {
 				rec = append(rec, n.Name)
 			}

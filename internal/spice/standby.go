@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"fmt"
 
 	"mtcmos/internal/circuit"
@@ -28,8 +29,16 @@ type StandbyResult struct {
 // with the reference engine's full-Newton DC solver: gmin-stepped
 // Newton over the whole network (see Engine.OperatingPoint), which
 // moves the floating virtual ground and every node riding on it as one
-// collective mode.
+// collective mode. It is StandbyContext without a budget.
 func Standby(c *circuit.Circuit, inputs map[string]bool) (*StandbyResult, error) {
+	return StandbyContext(context.TODO(), c, inputs)
+}
+
+// StandbyContext is Standby under a context, which bounds the warm-up
+// transients and the DC solves: once it fires, the analysis stops with
+// the failure simerr.FromContext classifies. A nil ctx means
+// context.Background().
+func StandbyContext(ctx context.Context, c *circuit.Circuit, inputs map[string]bool) (*StandbyResult, error) {
 	if c.SleepWL <= 0 {
 		return nil, fmt.Errorf("spice: standby analysis needs a sleep device")
 	}
@@ -65,11 +74,11 @@ func Standby(c *circuit.Circuit, inputs map[string]bool) (*StandbyResult, error)
 	// a consistent starting point from which only the collective
 	// floating-rail mode remains to move.
 	solve := func(e *Engine, seed map[string]float64) ([]float64, error) {
-		v, err := e.settle(seed)
+		v, err := e.settle(ctx, seed)
 		if err != nil {
 			return nil, err
 		}
-		v, _, err = e.operatingPoint(v, 0)
+		v, _, err = e.operatingPoint(ctx, v, 0)
 		return v, err
 	}
 
@@ -104,8 +113,8 @@ func Standby(c *circuit.Circuit, inputs map[string]bool) (*StandbyResult, error)
 // settle is Standby's warm-up: a short transient from seed that
 // settles every individually anchored node (strong conduction paths).
 // It records no traces and returns the final node voltages.
-func (e *Engine) settle(seed map[string]float64) ([]float64, error) {
+func (e *Engine) settle(ctx context.Context, seed map[string]float64) ([]float64, error) {
 	v := make([]float64, len(e.names))
-	_, err := e.run(Options{TStop: 2e-6, DTMax: 0.2e-6, InitialV: seed, Record: []string{}}, v)
+	_, err := e.run(Options{TStop: 2e-6, DTMax: 0.2e-6, InitialV: seed, Record: []string{}, Ctx: ctx}, v)
 	return v, err
 }

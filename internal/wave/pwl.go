@@ -1,15 +1,9 @@
-// Package wave provides piecewise-linear waveforms and sampled traces,
-// plus the measurements the experiments need: threshold crossings,
-// 50%-50% propagation delay, peak (ground-bounce) detection and settle
-// time. Both simulation engines emit their results through this package
-// so that measurements are defined once.
 package wave
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // PWL is a piecewise-linear waveform: value V[i] at time T[i], linear in
@@ -61,69 +55,20 @@ func DC(v float64) *PWL {
 }
 
 // At evaluates the waveform at time t.
-func (p *PWL) At(t float64) float64 {
-	n := len(p.T)
-	if n == 0 {
-		return 0
-	}
-	if t <= p.T[0] {
-		return p.V[0]
-	}
-	if t >= p.T[n-1] {
-		return p.V[n-1]
-	}
-	i := sort.SearchFloat64s(p.T, t)
-	// p.T[i-1] < t <= p.T[i]
-	t0, t1 := p.T[i-1], p.T[i]
-	v0, v1 := p.V[i-1], p.V[i]
-	return v0 + (v1-v0)*(t-t0)/(t1-t0)
-}
+func (p *PWL) At(t float64) float64 { return at(p.T, p.V, t) }
 
 // Crossing returns the first time at or after from where the waveform
 // crosses level in the given direction (+1 rising, -1 falling, 0 any).
 // ok is false when no crossing exists.
 func (p *PWL) Crossing(level, from float64, dir int) (t float64, ok bool) {
-	n := len(p.T)
-	for i := 1; i < n; i++ {
-		t0, t1 := p.T[i-1], p.T[i]
-		if t1 < from {
-			continue
-		}
-		v0, v1 := p.V[i-1], p.V[i]
-		if v0 == v1 {
-			continue
-		}
-		rising := v1 > v0
-		if dir > 0 && !rising || dir < 0 && rising {
-			continue
-		}
-		lo, hi := math.Min(v0, v1), math.Max(v0, v1)
-		if level < lo || level > hi {
-			continue
-		}
-		tc := t0 + (t1-t0)*(level-v0)/(v1-v0)
-		if tc >= from {
-			return tc, true
-		}
-	}
-	return 0, false
+	return crossing(p.T, p.V, level, from, dir)
 }
 
 // Final returns the last value of the waveform.
-func (p *PWL) Final() float64 {
-	if len(p.V) == 0 {
-		return 0
-	}
-	return p.V[len(p.V)-1]
-}
+func (p *PWL) Final() float64 { return final(p.V) }
 
 // End returns the last breakpoint time.
-func (p *PWL) End() float64 {
-	if len(p.T) == 0 {
-		return 0
-	}
-	return p.T[len(p.T)-1]
-}
+func (p *PWL) End() float64 { return final(p.T) }
 
 // Append adds a point, merging exactly-colinear runs to keep waveforms
 // compact. Time must not move backwards; equal time replaces the value.
@@ -155,47 +100,5 @@ func (p *PWL) Append(t, v float64) {
 	p.V = append(p.V, v)
 }
 
-// Sample evaluates the waveform at n evenly spaced points on [t0, t1].
-func (p *PWL) Sample(t0, t1 float64, n int) *Trace {
-	tr := &Trace{T: make([]float64, n), V: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		t := t0
-		if n > 1 {
-			t = t0 + (t1-t0)*float64(i)/float64(n-1)
-		}
-		tr.T[i] = t
-		tr.V[i] = p.At(t)
-	}
-	return tr
-}
-
-// Max returns the maximum value attained on [t0, t1].
-func (p *PWL) Max(t0, t1 float64) float64 {
-	best := math.Inf(-1)
-	consider := func(v float64) {
-		if v > best {
-			best = v
-		}
-	}
-	consider(p.At(t0))
-	consider(p.At(t1))
-	for i, t := range p.T {
-		if t > t0 && t < t1 {
-			consider(p.V[i])
-		}
-	}
-	return best
-}
-
 // WriteCSV writes the waveform's breakpoints as "t,v" rows.
-func (p *PWL) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "t,v"); err != nil {
-		return err
-	}
-	for i := range p.T {
-		if _, err := fmt.Fprintf(w, "%.12g,%.12g\n", p.T[i], p.V[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (p *PWL) WriteCSV(w io.Writer) error { return writeCSV(w, "v", p.T, p.V) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // Trace is a sampled waveform from the transient engine: value V[i] at
@@ -29,65 +28,24 @@ func (tr *Trace) Len() int { return len(tr.T) }
 
 // At evaluates the trace at time t by linear interpolation, holding the
 // end values outside the sampled range.
-func (tr *Trace) At(t float64) float64 {
-	n := len(tr.T)
-	if n == 0 {
-		return 0
-	}
-	if t <= tr.T[0] {
-		return tr.V[0]
-	}
-	if t >= tr.T[n-1] {
-		return tr.V[n-1]
-	}
-	i := sort.SearchFloat64s(tr.T, t)
-	if tr.T[i] == t {
-		return tr.V[i]
-	}
-	t0, t1 := tr.T[i-1], tr.T[i]
-	v0, v1 := tr.V[i-1], tr.V[i]
-	if t1 == t0 {
-		return v1
-	}
-	return v0 + (v1-v0)*(t-t0)/(t1-t0)
-}
+func (tr *Trace) At(t float64) float64 { return at(tr.T, tr.V, t) }
 
 // Crossing returns the first time at or after from where the trace
 // crosses level in direction dir (+1 rising, -1 falling, 0 either).
 func (tr *Trace) Crossing(level, from float64, dir int) (float64, bool) {
-	n := len(tr.T)
-	for i := 1; i < n; i++ {
-		t0, t1 := tr.T[i-1], tr.T[i]
-		if t1 < from {
-			continue
-		}
-		v0, v1 := tr.V[i-1], tr.V[i]
-		if v0 == v1 {
-			continue
-		}
-		rising := v1 > v0
-		if dir > 0 && !rising || dir < 0 && rising {
-			continue
-		}
-		lo, hi := math.Min(v0, v1), math.Max(v0, v1)
-		if level < lo || level > hi {
-			continue
-		}
-		tc := t0 + (t1-t0)*(level-v0)/(v1-v0)
-		if tc >= from {
-			return tc, true
-		}
-	}
-	return 0, false
+	return crossing(tr.T, tr.V, level, from, dir)
+}
+
+// LastCrossing returns the last time at or after from where the trace
+// crosses level in either direction. With level Vdd/2 and from the
+// input edge, this is the settling delay both engines report: a
+// glitching output counts from its last crossing, not its first.
+func (tr *Trace) LastCrossing(level, from float64) (float64, bool) {
+	return lastCrossing(tr.T, tr.V, level, from)
 }
 
 // Final returns the last sample value.
-func (tr *Trace) Final() float64 {
-	if len(tr.V) == 0 {
-		return 0
-	}
-	return tr.V[len(tr.V)-1]
-}
+func (tr *Trace) Final() float64 { return final(tr.V) }
 
 // Peak returns the maximum value and its time on [t0, t1].
 func (tr *Trace) Peak(t0, t1 float64) (v, t float64) {
@@ -111,59 +69,6 @@ func (tr *Trace) Peak(t0, t1 float64) (v, t float64) {
 	return v, t
 }
 
-// SettleTime returns the first time after from beyond which the trace
-// stays within tol of its final value. ok is false if it never settles.
-func (tr *Trace) SettleTime(from, tol float64) (float64, bool) {
-	if len(tr.T) == 0 {
-		return 0, false
-	}
-	final := tr.Final()
-	// Walk backwards to find the last sample outside the band.
-	for i := len(tr.T) - 1; i >= 0; i-- {
-		if tr.T[i] < from {
-			break
-		}
-		if math.Abs(tr.V[i]-final) > tol {
-			if i == len(tr.T)-1 {
-				return 0, false
-			}
-			// Interpolate the crossing back into the band.
-			return tr.T[i+1], true
-		}
-	}
-	return from, true
-}
-
-// Delay measures the 50%-50% propagation delay between an input edge at
-// tEdge (the instant the input crosses half rail) and the first
-// subsequent crossing of vdd/2 on this trace in direction dir.
-func (tr *Trace) Delay(tEdge, vdd float64, dir int) (float64, bool) {
-	tc, ok := tr.Crossing(vdd/2, tEdge, dir)
-	if !ok {
-		return 0, false
-	}
-	return tc - tEdge, true
-}
-
-// Decimate returns a copy with at most n samples, preserving the first
-// and last, used to keep report output readable.
-func (tr *Trace) Decimate(n int) *Trace {
-	if n <= 0 || tr.Len() <= n {
-		cp := &Trace{Name: tr.Name, T: append([]float64(nil), tr.T...), V: append([]float64(nil), tr.V...)}
-		return cp
-	}
-	out := &Trace{Name: tr.Name}
-	step := float64(tr.Len()-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		j := int(math.Round(float64(i) * step))
-		if j >= tr.Len() {
-			j = tr.Len() - 1
-		}
-		out.Append(tr.T[j], tr.V[j])
-	}
-	return out
-}
-
 // WriteCSV writes the trace as "t,v" rows with a header naming the
 // trace. Useful for external plotting of engine outputs.
 func (tr *Trace) WriteCSV(w io.Writer) error {
@@ -171,13 +76,5 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 	if name == "" {
 		name = "v"
 	}
-	if _, err := fmt.Fprintf(w, "t,%s\n", name); err != nil {
-		return err
-	}
-	for i := range tr.T {
-		if _, err := fmt.Fprintf(w, "%.12g,%.12g\n", tr.T[i], tr.V[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeCSV(w, name, tr.T, tr.V)
 }

@@ -101,20 +101,6 @@ func TestPWLAppendColinearMerge(t *testing.T) {
 	p.Append(2.5, 0)
 }
 
-func TestPWLMaxAndSample(t *testing.T) {
-	p, _ := NewPWL(0, 0, 1, 3, 2, 1)
-	if m := p.Max(0, 2); m != 3 {
-		t.Errorf("Max = %g", m)
-	}
-	if m := p.Max(1.5, 2); math.Abs(m-2) > 1e-12 {
-		t.Errorf("windowed Max = %g, want 2", m)
-	}
-	tr := p.Sample(0, 2, 5)
-	if tr.Len() != 5 || tr.V[2] != 3 {
-		t.Errorf("Sample wrong: %+v", tr)
-	}
-}
-
 func TestTraceBasics(t *testing.T) {
 	tr := &Trace{Name: "out"}
 	tr.Append(0, 1.2)
@@ -123,9 +109,9 @@ func TestTraceBasics(t *testing.T) {
 	if math.Abs(tr.At(1.5e-9)-0.6) > 1e-12 {
 		t.Errorf("At = %g", tr.At(1.5e-9))
 	}
-	d, ok := tr.Delay(0.5e-9, 1.2, -1)
-	if !ok || math.Abs(d-1e-9) > 1e-15 {
-		t.Errorf("Delay = %g, %v", d, ok)
+	tc, ok := tr.LastCrossing(0.6, 0.5e-9)
+	if !ok || math.Abs(tc-1.5e-9) > 1e-15 {
+		t.Errorf("LastCrossing = %g, %v", tc, ok)
 	}
 	if tr.Final() != 0 {
 		t.Error("Final wrong")
@@ -136,43 +122,23 @@ func TestTraceBasics(t *testing.T) {
 	}
 }
 
-func TestTraceSettleTime(t *testing.T) {
+// TestTraceLastCrossing: a glitching output settles at its last
+// crossing; the first crossing is only the glitch.
+func TestTraceLastCrossing(t *testing.T) {
 	tr := &Trace{}
-	tr.Append(0, 1)
-	tr.Append(1, 0.5)
-	tr.Append(2, 0.1)
-	tr.Append(3, 0.0)
-	tr.Append(4, 0.0)
-	st, ok := tr.SettleTime(0, 0.05)
-	if !ok || st != 3 {
-		t.Errorf("SettleTime = %g, %v, want 3", st, ok)
+	for _, s := range [][2]float64{{0, 0}, {1, 1}, {2, 0}, {3, 0}, {4, 1}, {5, 1}} {
+		tr.Append(s[0], s[1])
 	}
-	// Never settles: last sample itself is out of band relative to final?
-	// Final IS the last sample, so a monotone ramp settles at its end.
-	tr2 := &Trace{}
-	tr2.Append(0, 0)
-	tr2.Append(1, 1)
-	st, ok = tr2.SettleTime(0, 0.01)
-	if !ok || st != 1 {
-		t.Errorf("ramp SettleTime = %g %v", st, ok)
+	first, _ := tr.Crossing(0.5, 0, 0)
+	last, ok := tr.LastCrossing(0.5, 0)
+	if first != 0.5 || !ok || last != 3.5 {
+		t.Errorf("first %g, last %g (%v); want 0.5, 3.5", first, last, ok)
 	}
-}
-
-func TestTraceDecimate(t *testing.T) {
-	tr := &Trace{Name: "x"}
-	for i := 0; i < 100; i++ {
-		tr.Append(float64(i), float64(i))
+	if _, ok := tr.LastCrossing(0.5, 3.6); ok {
+		t.Error("no crossing after 3.6")
 	}
-	d := tr.Decimate(10)
-	if d.Len() != 10 || d.T[0] != 0 || d.T[9] != 99 {
-		t.Errorf("Decimate endpoints wrong: %+v", d.T)
-	}
-	same := tr.Decimate(1000)
-	if same.Len() != 100 {
-		t.Error("Decimate must not upsample")
-	}
-	if d.Name != "x" {
-		t.Error("Decimate must keep the name")
+	if tc, ok := tr.LastCrossing(0.5, 1.7); !ok || tc != 3.5 {
+		t.Errorf("LastCrossing from 1.7 = %g, %v", tc, ok)
 	}
 }
 
@@ -230,8 +196,8 @@ func TestEmptyWaveforms(t *testing.T) {
 	if tr.At(1) != 0 || tr.Final() != 0 {
 		t.Error("empty Trace accessors must be zero")
 	}
-	if _, ok := tr.SettleTime(0, 0.1); ok {
-		t.Error("empty trace cannot settle")
+	if _, ok := tr.LastCrossing(0, 0); ok {
+		t.Error("empty trace cannot cross")
 	}
 }
 

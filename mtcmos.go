@@ -39,6 +39,7 @@
 package mtcmos
 
 import (
+	"context"
 	"io"
 
 	"mtcmos/internal/circuit"
@@ -228,6 +229,9 @@ func SimulateSweep(cp *CompiledCircuit, wls []float64, stim Stimulus, opts Batch
 type SpiceOptions = spice.RunOptions
 
 // SpiceResult holds reference-engine traces and delay measurements.
+// Its Delay and MaxDelay report an output's settling delay, its last
+// Vdd/2 crossing after the input edge, exactly as SwitchResult does;
+// a glitching output counts from its last crossing, not its first.
 type SpiceResult = spice.RunResult
 
 // SimulateSpice expands the circuit to a flat transistor netlist and
@@ -245,6 +249,13 @@ type StandbyResult = spice.StandbyResult
 // float voltage and the leakage reduction the sleep device buys.
 func Standby(c *Circuit, inputs map[string]bool) (*StandbyResult, error) {
 	return spice.Standby(c, inputs)
+}
+
+// StandbyContext is Standby under a context that bounds its warm-up
+// transients and DC solves; once it fires, the analysis stops with
+// ErrBudget (a deadline or budget cause) or ErrCancelled.
+func StandbyContext(ctx context.Context, c *Circuit, inputs map[string]bool) (*StandbyResult, error) {
+	return spice.StandbyContext(ctx, c, inputs)
 }
 
 // Netlist is a parsed SPICE-dialect deck; see ParseNetlist.
@@ -278,7 +289,9 @@ var (
 	ErrNoConvergence = simerr.ErrNoConvergence
 	// ErrNumerical: a NaN/Inf poisoned a node update (failed fast).
 	ErrNumerical = simerr.ErrNumerical
-	// ErrBudget: a step/eval/event/wall-clock budget or -timeout ran out.
+	// ErrBudget: a step or event cap (MaxSteps, MaxEvents) ran out, or
+	// the run's context passed its deadline (the wall-clock budget,
+	// e.g. -timeout).
 	ErrBudget = simerr.ErrBudget
 	// ErrCancelled: the run's context was cancelled (e.g. Ctrl-C).
 	ErrCancelled = simerr.ErrCancelled
@@ -502,7 +515,8 @@ func RefinedLevelBound(c *Circuit) (float64, error) { return sca.RefinedLevelBou
 type Transition = sizing.Transition
 
 // SizingConfig carries common sizing inputs (observed outputs, edge
-// shape, simulator options).
+// shape, simulator options). Sim.Ctx cancels the whole search and is
+// its wall-clock budget.
 type SizingConfig = sizing.Config
 
 // SizingResult reports the outcome of SizeForDelayTarget.

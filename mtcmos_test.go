@@ -355,3 +355,23 @@ func TestFacadeRefinedBound(t *testing.T) {
 		t.Errorf("SizeForStaticLevel refinement mismatch: %.1f vs %.1f", st.Refined, refined)
 	}
 }
+
+// TestRunExperimentRejectsBadWidths: a width below the generator's
+// minimum is an error naming the field, not a panic, in every
+// registered experiment; 0 keeps meaning the default.
+func TestRunExperimentRejectsBadWidths(t *testing.T) {
+	for _, e := range mtcmos.Experiments() {
+		for _, c := range []struct {
+			cfg   mtcmos.ExperimentConfig
+			field string
+		}{
+			{mtcmos.ExperimentConfig{Fast: true, MultiplierBits: 1}, "MultiplierBits"},
+			{mtcmos.ExperimentConfig{Fast: true, AdderBits: -1}, "AdderBits"},
+		} {
+			out, err := mtcmos.RunExperiment(e.ID, c.cfg)
+			if err == nil || out != nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), "at least") {
+				t.Errorf("%s with %+v: (%v, %v), want an error naming %s and its minimum", e.ID, c.cfg, out, err, c.field)
+			}
+		}
+	}
+}

@@ -41,6 +41,15 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== examples =="
+# go build compiles the examples but never runs them; each runs the
+# facade end to end in well under a second, and a nonzero exit fails.
+for main in examples/*/main.go; do
+    dir="./$(dirname "$main")"
+    echo "$dir"
+    go run "$dir" >/dev/null
+done
+
 echo "== go test -race =="
 go test -race -timeout "$CHECK_TIMEOUT" ./...
 
@@ -50,12 +59,12 @@ go test -race -timeout "$CHECK_TIMEOUT" -count=1 ./internal/faultinject/ ./inter
 echo "== parallel-sweep gate (-race) =="
 # Determinism and thread-safety of the sweep executor and the compiled
 # engines: identical results at any worker count, concurrent runs on
-# shared engines, atomic fault counters.
+# shared engines and shared circuits, atomic fault counters.
 go test -race -timeout "$CHECK_TIMEOUT" -count=1 \
-    -run 'TestMap|TestWorkers|TestCompiledConcurrentRuns|TestEngineConcurrentRuns|TestConcurrentInjection|TestWorkerCountIndependence|TestFig7WorkerCountInvariant|TestFig14WorkerCountInvariant|TestWorstVectorSearch|TestSimWLSweep|TestExpWorkersFlag|TestFacadeBatchAndSweep|TestRestartIndependentSeeds|TestRefineLevelsWorkerInvariance|TestRefineDeckWorkerInvariance|TestRefineWorkerCountInvariant' \
+    -run 'TestMap|TestWorkers|TestCompiledConcurrentRuns|TestEngineConcurrentRuns|TestConcurrentInjection|TestWorkerCountIndependence|TestFig7WorkerCountInvariant|TestFig14WorkerCountInvariant|TestWorstVectorSearch|TestSimWLSweep|TestExpWorkersFlag|TestFacadeBatchAndSweep|TestRestartIndependentSeeds|TestRefineLevelsWorkerInvariance|TestRefineDeckWorkerInvariance|TestRefineWorkerCountInvariant|TestSimultaneousWidthConcurrent|TestAnalyzeConcurrent' \
     ./internal/sched/ ./internal/core/ ./internal/spice/ ./internal/faultinject/ \
     ./internal/sizing/ ./internal/experiments/ ./internal/vectors/ ./internal/cli/ \
-    ./internal/sca/ .
+    ./internal/sca/ ./internal/hierarchy/ .
 
 echo "== prove gate (-race) =="
 # The path-condition prover over the example decks on the parallel
