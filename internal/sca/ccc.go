@@ -71,31 +71,50 @@ func classifyRails(f *netlist.Flat) map[string]RailKind {
 	return rails
 }
 
-// unionFind is a classic disjoint-set forest over net names.
-type unionFind struct {
-	parent map[string]string
+// numberNets gives every node of the deck its dense index, in name
+// order, and records each index's rail kind.
+func (a *Analysis) numberNets(f *netlist.Flat) {
+	a.nets = f.Nodes()
+	a.netID = make(map[string]int32, len(a.nets))
+	a.netKind = make([]RailKind, len(a.nets))
+	for i, n := range a.nets {
+		a.netID[n] = int32(i)
+		a.netKind[i] = a.rails[n]
+	}
 }
 
-func newUnionFind() *unionFind { return &unionFind{parent: map[string]string{}} }
+// unionFind is a disjoint-set forest over net indices: entry i is the
+// parent of net i, and a root is its own parent.
+type unionFind []int32
 
-func (u *unionFind) find(n string) string {
-	p, ok := u.parent[n]
-	if !ok {
-		u.parent[n] = n
-		return n
+// newUnionFind returns n singleton sets.
+func newUnionFind(n int) unionFind {
+	u := make(unionFind, n)
+	for i := range u {
+		u[i] = int32(i)
 	}
-	if p == n {
-		return n
-	}
-	root := u.find(p)
-	u.parent[n] = root // path compression
-	return root
+	return u
 }
 
-func (u *unionFind) union(a, b string) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u.parent[ra] = rb
+// add makes x a singleton unless it is in the forest already; a
+// negative entry marks a net outside it.
+func (u unionFind) add(x int32) {
+	if u[x] < 0 {
+		u[x] = x
+	}
+}
+
+func (u unionFind) find(x int32) int32 {
+	for u[x] != x {
+		u[x] = u[u[x]] // path halving
+		x = u[x]
+	}
+	return x
+}
+
+func (u unionFind) union(x, y int32) {
+	if rx, ry := u.find(x), u.find(y); rx != ry {
+		u[rx] = ry
 	}
 }
 
@@ -111,18 +130,21 @@ const (
 )
 
 type condEdge struct {
-	name string
-	a, b string // channel / resistor terminals
-	st   condState
-	mos  bool
-	gate string // MOS gate net ("" for resistors)
-	pmos bool   // MOS polarity (meaningless for resistors)
+	name   string
+	a, b   string // channel / resistor terminals
+	ia, ib int32  // their net indices
+	st     condState
+	mos    bool
+	gate   string // MOS gate net ("" for resistors)
+	ig     int32  // its net index (-1 for resistors)
+	pmos   bool   // MOS polarity (meaningless for resistors)
 }
 
 // conductors derives the edge list plus the set of rail-to-rail
 // bridge devices (both terminals are rails; they belong to no
-// component but still matter for short detection).
-func (a *Analysis) conductors(f *netlist.Flat) (edges []condEdge, bridges []condEdge) {
+// component but still matter for short detection), and indexes the
+// devices by name.
+func (a *Analysis) conductors(f *netlist.Flat) {
 	state := func(m netlist.MOS) condState {
 		gk := a.rails[m.G]
 		if isPMOSModel(m.Model) {
@@ -143,20 +165,29 @@ func (a *Analysis) conductors(f *netlist.Flat) (edges []condEdge, bridges []cond
 		return switchable
 	}
 	add := func(e condEdge) {
-		if a.rails[e.a] != RailNone && a.rails[e.b] != RailNone {
-			bridges = append(bridges, e)
+		e.ia, e.ib = a.netID[e.a], a.netID[e.b]
+		if a.netKind[e.ia] != RailNone && a.netKind[e.ib] != RailNone {
+			a.bridges = append(a.bridges, e)
 		} else {
-			edges = append(edges, e)
+			a.edges = append(a.edges, e)
 		}
 	}
 	for _, m := range f.MOS {
 		add(condEdge{name: m.Name, a: m.D, b: m.S, st: state(m), mos: true,
-			gate: m.G, pmos: isPMOSModel(m.Model)})
+			gate: m.G, ig: a.netID[m.G], pmos: isPMOSModel(m.Model)})
 	}
 	for _, r := range f.Ress {
-		add(condEdge{name: r.Name, a: r.A, b: r.B, st: alwaysOn})
+		add(condEdge{name: r.Name, a: r.A, b: r.B, st: alwaysOn, ig: -1})
 	}
-	return edges, bridges
+	// A name used twice resolves to its last device, edges before
+	// bridges.
+	a.devID = make(map[string]int32, len(a.edges)+len(a.bridges))
+	for i, e := range a.edges {
+		a.devID[e.name] = int32(i)
+	}
+	for i, e := range a.bridges {
+		a.devID[e.name] = int32(len(a.edges) + i)
+	}
 }
 
 func isPMOSModel(model string) bool {
@@ -169,69 +200,58 @@ func isPMOSModel(model string) bool {
 // components, so the components partition the non-rail net set
 // exactly.
 func (a *Analysis) partition(f *netlist.Flat) {
-	edges, bridges := a.conductors(f)
-
-	uf := newUnionFind()
-	for _, n := range f.Nodes() {
-		if a.rails[n] == RailNone {
-			uf.find(n) // register every non-rail net, even channel-less ones
+	uf := newUnionFind(len(a.nets))
+	for _, e := range a.edges {
+		if a.netKind[e.ia] == RailNone && a.netKind[e.ib] == RailNone {
+			uf.union(e.ia, e.ib)
 		}
-	}
-	for _, e := range edges {
-		an, bn := a.rails[e.a] == RailNone, a.rails[e.b] == RailNone
-		if an && bn {
-			uf.union(e.a, e.b)
-		}
-	}
-
-	// Gather members per root.
-	members := map[string][]string{}
-	for n := range uf.parent {
-		root := uf.find(n)
-		members[root] = append(members[root], n)
 	}
 
 	// Outputs: nets used as a MOS gate, or carrying an explicit cap.
-	isOutput := map[string]bool{}
+	isOutput := make([]bool, len(a.nets))
 	for _, m := range f.MOS {
-		if a.rails[m.G] == RailNone {
-			isOutput[m.G] = true
-		}
+		isOutput[a.netID[m.G]] = true
 	}
 	for _, c := range f.Caps {
-		for _, n := range []string{c.A, c.B} {
-			if a.rails[n] == RailNone {
-				isOutput[n] = true
-			}
-		}
+		isOutput[a.netID[c.A]] = true
+		isOutput[a.netID[c.B]] = true
 	}
 
-	// Deterministic component order: by smallest member net name.
-	roots := sortedKeys(members)
-	sort.Slice(roots, func(i, j int) bool {
-		return minString(members[roots[i]]) < minString(members[roots[j]])
-	})
-
-	a.Components = make([]*Component, 0, len(roots))
-	for id, root := range roots {
-		nets := members[root]
-		sort.Strings(nets)
-		c := &Component{ID: id, Nets: nets}
-		for _, n := range nets {
-			a.compOf[n] = id
-			if isOutput[n] {
-				c.Outputs = append(c.Outputs, n)
-			}
+	// Nets are numbered in name order, so visiting them in index order
+	// lists each component's members sorted and numbers the components
+	// by their smallest member.
+	a.comp = make([]int32, len(a.nets))
+	idOf := make([]int32, len(a.nets)) // root -> component ID + 1
+	for i, n := range a.nets {
+		if a.netKind[i] != RailNone {
+			a.comp[i] = -1
+			continue
 		}
-		a.Components = append(a.Components, c)
+		root := uf.find(int32(i))
+		if idOf[root] == 0 {
+			a.Components = append(a.Components, &Component{ID: len(a.Components)})
+			idOf[root] = int32(len(a.Components))
+		}
+		id := idOf[root] - 1
+		a.comp[i] = id
+		c := a.Components[id]
+		c.Nets = append(c.Nets, n)
+		if isOutput[i] {
+			c.Outputs = append(c.Outputs, n)
+		}
+	}
+	for _, c := range a.Components {
+		for _, o := range c.Outputs {
+			a.outs = append(a.outs, a.netID[o])
+		}
 	}
 
 	// Attach devices and touched rails.
 	railSets := make([]map[string]bool, len(a.Components))
-	for _, e := range edges {
-		id := a.ComponentOf(e.a)
+	for _, e := range a.edges {
+		id := a.comp[e.ia]
 		if id < 0 {
-			id = a.ComponentOf(e.b)
+			id = a.comp[e.ib]
 		}
 		c := a.Components[id]
 		c.Devices = append(c.Devices, e.name)
@@ -250,7 +270,7 @@ func (a *Analysis) partition(f *netlist.Flat) {
 	}
 
 	a.stats.Components = len(a.Components)
-	a.stats.RailBridges = len(bridges)
+	a.stats.RailBridges = len(a.bridges)
 	for _, c := range a.Components {
 		if len(c.Devices) > a.stats.LargestDevices {
 			a.stats.LargestDevices = len(c.Devices)
@@ -259,14 +279,4 @@ func (a *Analysis) partition(f *netlist.Flat) {
 			a.stats.LargestNets = len(c.Nets)
 		}
 	}
-}
-
-func minString(s []string) string {
-	m := s[0]
-	for _, x := range s[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }

@@ -70,10 +70,10 @@ type ExclConfig struct {
 	// serial). Results are identical for any value.
 	Workers int
 
-	// Ctx carries the run's context into both fan-outs and the witness
-	// replays. Once it fires, RefineLevels returns the failure
-	// simerr.FromContext classifies instead of falling back to the
-	// static bound.
+	// Ctx carries the run's context into both fan-outs; the witness
+	// replays run inside the first. Once it fires, RefineLevels returns
+	// the failure simerr.FromContext classifies instead of falling back
+	// to the static bound.
 	Ctx context.Context
 }
 
@@ -437,7 +437,7 @@ func (r *Refinement) prefilter(c *circuit.Circuit, cfg ExclConfig, pairs [][2]in
 type fallVerdict struct {
 	id        int
 	status    sat.Status
-	m0, m1    Witness // frame models when Sat, for replay
+	replayOK  bool // when Sat: the witness passed switch-level replay
 	queries   int
 	unknown   int
 	truncated []string // truncated output nets in the chunk's scope
@@ -446,7 +446,8 @@ type fallVerdict struct {
 // fallAnalysis asks, per gate involved in a surviving pair, whether
 // its output can fall at all, and replays every Sat witness through
 // the independent switch-level harness. Chunks of gates fan out on
-// sched.Map; each chunk owns its solver.
+// sched.Map; each chunk owns its solver and replays its own witnesses
+// against the shared, read-only analysis.
 func (r *Refinement) fallAnalysis(cc *coneCache, cfg ExclConfig, pairs [][2]int) error {
 	idSet := map[int]bool{}
 	for _, p := range pairs {
@@ -469,11 +470,11 @@ func (r *Refinement) fallAnalysis(cc *coneCache, cfg ExclConfig, pairs [][2]int)
 		fp := newFrameProver(cc, cc.cone(roots), 2, cfg.MaxConflicts)
 		out := make([]fallVerdict, 0, len(chunk))
 		for _, id := range chunk {
-			res := fp.canFall(r.gates[id].net)
+			net := r.gates[id].net
+			res := fp.canFall(net)
 			v := fallVerdict{id: id, status: res.Status}
 			if res.Status == sat.Sat {
-				v.m0 = fp.frameModel(&res, 0)
-				v.m1 = fp.frameModel(&res, 1)
+				v.replayOK = replayFall(cc.a, net, fp.frameModel(&res, 0), fp.frameModel(&res, 1))
 			}
 			out = append(out, v)
 		}
@@ -504,17 +505,14 @@ func (r *Refinement) fallAnalysis(cc *coneCache, cfg ExclConfig, pairs [][2]int)
 				g.cannotFall = true
 				r.Stats.CannotFall++
 			case sat.Sat:
-				// Spot-validate the witness with the independent replay:
-				// frame 0 must drive the output high, frame 1 low, and
-				// both frames must be internally consistent. A gate whose
-				// witness the replay rejects is dropped from the
-				// refinement entirely (encoder distrust ⇒ PR 2 answer).
-				// Replays run serially here, so each one checks the context.
-				if err := simerr.FromContext(cfg.Ctx, "sca"); err != nil {
-					return err
-				}
+				// The chunk spot-validated the witness with the
+				// independent replay: frame 0 must drive the output high,
+				// frame 1 low, and both frames must be internally
+				// consistent. A gate whose witness the replay rejects is
+				// dropped from the refinement entirely (encoder distrust
+				// ⇒ the unrefined answer).
 				r.Stats.ReplayChecked++
-				if !replayFall(cc.a, g.net, v.m0, v.m1) {
+				if !v.replayOK {
 					g.dropped = true
 					r.Stats.ReplayFailed++
 				}

@@ -1,10 +1,6 @@
 package sca
 
-import (
-	"sort"
-
-	"mtcmos/internal/netlist"
-)
+import "sort"
 
 // arc is one conducting branch as seen from a particular net.
 type arc struct {
@@ -19,13 +15,10 @@ type arcMap map[string][]arc
 // enumeratePaths runs the per-component DC-path checks: always-on
 // VDD→GND shorts, outputs missing a pull network, and conducting
 // paths deeper than the series-stack limit.
-func (a *Analysis) enumeratePaths(f *netlist.Flat, cfg Config) {
-	edges, bridges := a.conductors(f)
-	a.edges, a.bridges = edges, bridges
-
+func (a *Analysis) enumeratePaths(cfg Config) {
 	// A single always-on device strapping a high rail to a low rail is
 	// the degenerate short.
-	for _, e := range bridges {
+	for _, e := range a.bridges {
 		if e.st != alwaysOn {
 			continue
 		}
@@ -56,10 +49,10 @@ func (a *Analysis) enumeratePaths(f *netlist.Flat, cfg Config) {
 		}
 		adj[id][from] = append(adj[id][from], arc{e, to})
 	}
-	for _, e := range edges {
-		id := a.ComponentOf(e.a)
+	for _, e := range a.edges {
+		id := int(a.comp[e.ia])
 		if id < 0 {
-			id = a.ComponentOf(e.b)
+			id = int(a.comp[e.ib])
 		}
 		addArc(id, e.a, e, e.b)
 		addArc(id, e.b, e, e.a)
@@ -76,7 +69,7 @@ func (a *Analysis) enumeratePaths(f *netlist.Flat, cfg Config) {
 	// like): they behave as extensions of that rail and are not logic
 	// outputs to screen.
 	virtualRail := map[string]bool{}
-	for _, e := range edges {
+	for _, e := range a.edges {
 		if e.st != alwaysOn {
 			continue
 		}

@@ -14,7 +14,9 @@ import (
 // them through the event-driven engine (internal/core) and the
 // operating-point solver (internal/spice).
 
-// NetState is the replayed drive state of one net.
+// NetState is the replayed drive state of one net. The states form a
+// bit set: StateContend is StateLow|StateHigh, so an island's state is
+// the OR of what each rail in it contributes.
 type NetState int8
 
 const (
@@ -43,14 +45,24 @@ func (s NetState) String() string {
 	}
 }
 
-// Replay is the switch-level evaluation of the deck under one model.
-type Replay struct {
-	a     *Analysis
-	model Witness
+// value is a net's three-valued logic level under a model: 0, 1, or X
+// where the model does not assign the net.
+type value int8
 
-	conducts map[string]bool   // device name -> conducts under the model
-	group    map[string]string // union-find parent over nets
-	state    map[string]NetState
+const (
+	valX value = iota
+	val0
+	val1
+)
+
+// Replay is the switch-level evaluation of the deck under one model,
+// held per net index of the analysis.
+type Replay struct {
+	a        *Analysis
+	val      []value    // net -> the model's level
+	conducts []bool     // edge (a.edges, then a.bridges) -> conducts under the model
+	root     []int32    // net -> its island's root (-1 off every channel)
+	state    []NetState // net -> replayed drive state
 }
 
 // Replay evaluates the deck at switch level under a full model (every
@@ -59,64 +71,75 @@ type Replay struct {
 // gate value, conducting channels are merged, and each merged island
 // is classified by the drivers it touches. Drivers are the supply
 // rails and the signal rails at their model values.
+//
+// A net the model does not assign is X. X reads as 0 at a gate, the
+// solver's false-first don't-care polarity, and pulls low on a signal
+// rail; CheckModel skips outputs that are X. When the model
+// lists a net twice, its first entry counts, as with Witness.Get.
+// Nets no channel or resistor touches stay floating and connected to
+// nothing.
 func (a *Analysis) Replay(model Witness) *Replay {
+	n := len(a.nets)
 	r := &Replay{
 		a:        a,
-		model:    model,
-		conducts: map[string]bool{},
-		group:    map[string]string{},
-		state:    map[string]NetState{},
+		val:      make([]value, n),
+		conducts: make([]bool, len(a.edges)+len(a.bridges)),
+		root:     make([]int32, n),
+		state:    make([]NetState, n),
 	}
-
-	all := append(append([]condEdge{}, a.edges...), a.bridges...)
-	for _, e := range all {
-		r.conducts[e.name] = r.edgeConducts(e)
-	}
-
-	// Merge conducting channels.
-	uf := newUnionFind()
-	for _, e := range all {
-		uf.find(e.a)
-		uf.find(e.b)
-		if r.conducts[e.name] {
-			uf.union(e.a, e.b)
-		}
-	}
-
-	// Classify each island by the drivers it touches.
-	type drive struct{ high, low bool }
-	drivers := map[string]*drive{}
-	for n := range uf.parent {
-		root := uf.find(n)
-		d := drivers[root]
-		if d == nil {
-			d = &drive{}
-			drivers[root] = d
-		}
-		switch a.rails[n] {
-		case RailHigh:
-			d.high = true
-		case RailLow:
-			d.low = true
-		case RailSignal:
-			if v, ok := model.Get(n); ok && v {
-				d.high = true
-			} else {
-				d.low = true
+	for _, nv := range model {
+		if i, ok := a.netID[nv.Net]; ok && r.val[i] == valX {
+			r.val[i] = val0
+			if nv.Value {
+				r.val[i] = val1
 			}
 		}
 	}
-	for n := range uf.parent {
-		r.group[n] = uf.find(n)
-		switch d := drivers[r.group[n]]; {
-		case d.high && d.low:
-			r.state[n] = StateContend
-		case d.high:
-			r.state[n] = StateHigh
-		case d.low:
-			r.state[n] = StateLow
-		default:
-			r.state[n] = StateFloat
+
+	// Merge conducting channels. Only channel endpoints join the
+	// union-find; every other net keeps root -1.
+	for i := range r.root {
+		r.root[i] = -1
+	}
+	uf := unionFind(r.root)
+	k := 0
+	for _, es := range [][]condEdge{a.edges, a.bridges} {
+		for i := range es {
+			e := &es[i]
+			uf.add(e.ia)
+			uf.add(e.ib)
+			r.conducts[k] = r.edgeConducts(e)
+			if r.conducts[k] {
+				uf.union(e.ia, e.ib)
+			}
+			k++
+		}
+	}
+
+	// Point every endpoint at its island's root, and classify each
+	// island by the rails it touches.
+	for i := range r.root {
+		if r.root[i] < 0 {
+			continue
+		}
+		p := uf.find(int32(i))
+		r.root[i] = p
+		switch a.netKind[i] {
+		case RailHigh:
+			r.state[p] |= StateHigh
+		case RailLow:
+			r.state[p] |= StateLow
+		case RailSignal:
+			if r.val[i] == val1 {
+				r.state[p] |= StateHigh
+			} else {
+				r.state[p] |= StateLow
+			}
+		}
+	}
+	for i, p := range r.root {
+		if p >= 0 {
+			r.state[i] = r.state[p]
 		}
 	}
 	return r
@@ -124,51 +147,35 @@ func (a *Analysis) Replay(model Witness) *Replay {
 
 // edgeConducts decides one device under the model: resistors and
 // tied-on devices always conduct, tied-off never, and a switchable
-// MOS follows its gate value (high rail gates read 1, low rail gates
-// 0, signal rails and ordinary nets read from the model; an
-// unassigned gate reads 0, matching the solver's false-first
-// don't-care polarity).
-func (r *Replay) edgeConducts(e condEdge) bool {
+// MOS, whose gate is a signal rail or an ordinary net, follows the
+// gate's model value (X reads 0).
+func (r *Replay) edgeConducts(e *condEdge) bool {
 	switch e.st {
 	case alwaysOn:
 		return true
 	case alwaysOff:
 		return false
 	}
-	if !e.mos {
-		return true
-	}
-	g := r.netValue(e.gate)
-	if e.pmos {
-		return !g
-	}
-	return g
-}
-
-// netValue reads a net's boolean value for gate evaluation.
-func (r *Replay) netValue(n string) bool {
-	switch r.a.rails[n] {
-	case RailHigh:
-		return true
-	case RailLow:
-		return false
-	}
-	v, _ := r.model.Get(n)
-	return v
+	return (r.val[e.ig] == val1) != e.pmos
 }
 
 // State returns the replayed drive state of a net.
-func (r *Replay) State(n string) NetState { return r.state[n] }
+func (r *Replay) State(n string) NetState {
+	if i, ok := r.a.netID[n]; ok {
+		return r.state[i]
+	}
+	return StateFloat
+}
 
 // Connected reports whether two nets are joined by conducting
 // channels under the model.
 func (r *Replay) Connected(x, y string) bool {
-	gx, ok := r.group[x]
-	if !ok {
+	i, ok := r.a.netID[x]
+	if !ok || r.root[i] < 0 {
 		return false
 	}
-	gy, ok := r.group[y]
-	return ok && gx == gy
+	j, ok := r.a.netID[y]
+	return ok && r.root[i] == r.root[j]
 }
 
 // CheckShort verifies a ProvenShort against the replay: every device
@@ -176,7 +183,7 @@ func (r *Replay) Connected(x, y string) bool {
 // joined.
 func (r *Replay) CheckShort(sh ProvenShort) error {
 	for _, d := range sh.Devices {
-		if !r.conducts[d] {
+		if k, ok := r.a.devID[d]; !ok || !r.conducts[k] {
 			return fmt.Errorf("replay: device %s on proven short %s->%s does not conduct under witness", d, sh.From, sh.To)
 		}
 	}
@@ -190,7 +197,7 @@ func (r *Replay) CheckShort(sh ProvenShort) error {
 // CheckFloating verifies a ProvenFloating against the replay: the
 // node must end up tied to no driver at all.
 func (r *Replay) CheckFloating(pf ProvenFloating) error {
-	if st := r.state[pf.Net]; st != StateFloat {
+	if st := r.State(pf.Net); st != StateFloat {
 		return fmt.Errorf("replay: node %s is %s under witness, not floating", pf.Net, st)
 	}
 	return nil
@@ -201,23 +208,17 @@ func (r *Replay) CheckFloating(pf ProvenFloating) error {
 // the value the model assigned it. Contended and floating nets are
 // exempt — a contended node's value is an analog fight and a floating
 // node retains charge, which is exactly the freedom the CNF encoding
-// grants them.
+// grants them — and so are outputs the model leaves X.
 func (r *Replay) CheckModel() error {
-	for _, c := range r.a.Components {
-		for _, o := range c.Outputs {
-			mv, ok := r.model.Get(o)
-			if !ok {
-				continue
+	for _, o := range r.a.outs {
+		switch r.state[o] {
+		case StateHigh:
+			if r.val[o] == val0 {
+				return fmt.Errorf("replay: output %s driven high but model says 0", r.a.nets[o])
 			}
-			switch r.state[o] {
-			case StateHigh:
-				if !mv {
-					return fmt.Errorf("replay: output %s driven high but model says 0", o)
-				}
-			case StateLow:
-				if mv {
-					return fmt.Errorf("replay: output %s driven low but model says 1", o)
-				}
+		case StateLow:
+			if r.val[o] == val1 {
+				return fmt.Errorf("replay: output %s driven low but model says 1", r.a.nets[o])
 			}
 		}
 	}

@@ -154,9 +154,19 @@ type Analysis struct {
 	Floating []FloatingOutput
 	Deep     []DeepPath
 
-	rails  map[string]RailKind
-	compOf map[string]int // net -> component ID
-	stats  Stats
+	rails map[string]RailKind
+	stats Stats
+
+	// The net numbering: every node of the deck gets one dense index,
+	// in name order. The partition and the witness replay run on these
+	// indices. Analyze fills them and nothing writes them afterwards,
+	// so concurrent replays share them without a lock.
+	nets    []string         // index -> net name (sorted)
+	netID   map[string]int32 // net name -> index
+	netKind []RailKind       // index -> rail kind
+	comp    []int32          // index -> component ID (-1 for rails)
+	outs    []int32          // every component's outputs, in component order
+	devID   map[string]int32 // device name -> index into edges, then bridges
 
 	// Retained for the prover (Prove): the flattened deck, the
 	// effective config, and the conduction graph the path checks ran
@@ -173,14 +183,16 @@ type Analysis struct {
 // an empty analysis.
 func Analyze(f *netlist.Flat, cfg Config) *Analysis {
 	cfg = cfg.withDefaults()
-	a := &Analysis{rails: map[string]RailKind{}, compOf: map[string]int{}, cfg: cfg}
+	a := &Analysis{rails: map[string]RailKind{}, cfg: cfg}
 	if f == nil {
 		return a
 	}
 	a.flat = f
 	a.rails = classifyRails(f)
+	a.numberNets(f)
+	a.conductors(f)
 	a.partition(f)
-	a.enumeratePaths(f, cfg)
+	a.enumeratePaths(cfg)
 	return a
 }
 
@@ -191,8 +203,8 @@ func (a *Analysis) Rail(node string) RailKind { return a.rails[node] }
 // ComponentOf returns the component ID containing the net, or -1 for
 // rails and unknown nets.
 func (a *Analysis) ComponentOf(net string) int {
-	if id, ok := a.compOf[net]; ok {
-		return id
+	if i, ok := a.netID[net]; ok {
+		return int(a.comp[i])
 	}
 	return -1
 }
