@@ -91,6 +91,18 @@ func TestSimMaxStepsExitsBudget(t *testing.T) {
 	}
 }
 
+// TestSimNonFiniteTStop: an infinite or NaN horizon is a configuration
+// error (exit 1) reported before any step, not a run that never ends.
+func TestSimNonFiniteTStop(t *testing.T) {
+	for _, tstop := range []string{"inf", "nan"} {
+		var buf bytes.Buffer
+		err := Sim([]string{"-circuit", "tree", "-engine", "spice", "-tstop", tstop}, &buf)
+		if ExitCode(err) != ExitError || err == nil || !strings.Contains(err.Error(), "TStop must be positive and finite") {
+			t.Errorf("-tstop %s: err = %v (exit %d), want exit %d naming TStop", tstop, err, ExitCode(err), ExitError)
+		}
+	}
+}
+
 func TestSimTimeoutExitsBudget(t *testing.T) {
 	var buf bytes.Buffer
 	err := Sim([]string{"-circuit", "chain", "-bits", "2", "-wl", "10",

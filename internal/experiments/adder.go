@@ -311,7 +311,7 @@ func Speedup(cfg Config) (*Output, error) {
 		tb.AddRow(fmt.Sprintf("reference engine (measured %d, extrapolated)", k),
 			fmt.Sprint(n), spiceTotal.String(), spicePer.String(),
 			fmt.Sprintf("%.0fx slower", float64(spiceTotal)/float64(vbsTotal)))
-		out.note("paper: SPICE 4.78h vs 13.5s on a Sparc 5, a ~1275x gap; the reproduction shows the same three-to-four-orders-of-magnitude separation")
+		out.note("paper: SPICE 4.78h vs 13.5s on a Sparc 5, a ~1275x gap; the reproduction measures a gap of the order of 10^3 from two one-shot timings, which move with host load")
 	}
 	out.Tables = append(out.Tables, tb)
 	return out, nil

@@ -15,10 +15,13 @@ import (
 // invDeck is a plain CMOS inverter with a 50fF load; the input rises at
 // 1ns so all interesting solver activity sits just after 1ns. The
 // output node is the only free node, which keeps every diagnostic
-// deterministic ("out" is always the worst node).
+// deterministic ("out" is always the worst node). The input's last
+// corner, at 1.1ns, changes nothing but makes steps land there: the
+// engine restarts with a short step after every source corner, so the
+// 10ps fault windows starting at 1.1ns always catch a step.
 const invDeck = `inverter
 Vdd vdd 0 DC 1.2
-Vin in 0 PWL(0 0 1n 0 1.05n 1.2)
+Vin in 0 PWL(0 0 1n 0 1.05n 1.2 1.1n 1.2)
 Mn out in 0 0 nmos W=1.4u L=0.7u
 Mp out in vdd vdd pmos W=2.8u L=0.7u
 Cl out 0 50f
@@ -132,10 +135,9 @@ func TestEachRungRescues(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// All faults target a single device (a bias applied to
 			// every device on the node would cancel in the KCL sum)
-			// and sit in the flat region after the input edge, so the
-			// first faulty step arrives at a full-size dt and back-off
-			// has room to work (steps near a PWL breakpoint are
-			// already tiny).
+			// and start at the input's 1.1ns corner, so the first
+			// faulty step is the restart step after it, and back-off
+			// halves it down to DTMin before the ladder climbs.
 			inj := New(tc.fault)
 			res, err := runWith(t, inj, spice.Options{})
 			if err != nil {

@@ -10,9 +10,11 @@
 // pattern are computed once per compiled engine (sparse.go). The same
 // kernel solves the DC operating point (op.go), so the virtual ground
 // floating up in standby together with every output riding on it moves
-// as one collective mode. The timestep adapts to the Newton iteration
-// count, and a convergence-recovery ladder (recovery.go) rescues the
-// steps that still fail. The scheme reproduces the first-order physics
+// as one collective mode. Each timestep is chosen from a
+// local-truncation-error estimate, as in SPICE2: short steps on edges,
+// long ones where the circuit is quiet, and a fresh start at every
+// source corner. A convergence-recovery ladder (recovery.go) rescues the
+// steps whose Newton solve fails. The scheme reproduces the first-order physics
 // the paper's comparisons rely on: gate-drive loss and body effect from
 // virtual ground bounce, vector-dependent discharge current overlap,
 // and RC relaxation of the virtual ground rail.
@@ -35,7 +37,7 @@ import (
 type Options struct {
 	TStop float64 // simulation end time (required)
 
-	DTMax float64 // max timestep (default 5ps)
+	DTMax float64 // max timestep (default TStop/50)
 	DTMin float64 // min timestep before giving up (default 1as)
 
 	// Record lists node names to trace; nil records every node.
@@ -74,7 +76,7 @@ type Options struct {
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.DTMax <= 0 {
-		out.DTMax = 5e-12
+		out.DTMax = out.TStop / 50
 	}
 	if out.DTMin <= 0 {
 		out.DTMin = 1e-18
@@ -199,6 +201,9 @@ type Engine struct {
 	nodeRes [][]int32
 
 	free []int32 // free (not source-driven) nodes: the Newton unknowns
+	// capNodes are the free nodes with grounded or floating capacitance:
+	// the state variables whose truncation error sets the timestep.
+	capNodes []int32
 
 	pool *sync.Pool // *runState: recycled per-run solver state
 
@@ -306,9 +311,18 @@ func Compile(f *netlist.Flat, tech *mosfet.Tech) (*Engine, error) {
 		attach(e.nodeRes, r.b, int32(i))
 	}
 
+	capped := make([]bool, n)
+	for _, c := range e.fcaps {
+		if c.f > 0 {
+			capped[c.a], capped[c.b] = true, true
+		}
+	}
 	for i := int32(0); i < int32(n); i++ {
 		if e.fixed[i] < 0 {
 			e.free = append(e.free, i)
+			if e.cg[i] > 0 || capped[i] {
+				e.capNodes = append(e.capNodes, i)
+			}
 		}
 	}
 	e.sp = e.buildSparse()
@@ -389,15 +403,12 @@ func (e *Engine) Run(opts Options) (*Result, error) {
 	return e.run(opts, nil)
 }
 
-// maxTraceReserve caps the samples Run reserves per trace up front.
-const maxTraceReserve = 1 << 14
-
 // run is Run; a non-nil final also receives every node's voltage at
 // the last accepted step, for callers that record no traces.
 func (e *Engine) run(opts Options, final []float64) (*Result, error) {
 	o := opts.withDefaults()
-	if !(o.TStop > 0) {
-		return nil, fmt.Errorf("spice: TStop must be positive")
+	if !(o.TStop > 0) || math.IsInf(o.TStop, 1) {
+		return nil, fmt.Errorf("spice: TStop must be positive and finite")
 	}
 	st := e.lease()
 	defer e.release(st)
@@ -442,13 +453,7 @@ func (e *Engine) run(opts Options, final []float64) (*Result, error) {
 		return math.Inf(1)
 	}
 
-	// Recording setup. Traces reserve the samples a run at the step cap
-	// records: one per DTMax (or SampleDT), one per source corner and
-	// the start-up ramp from DTMax/8, so appends do not regrow them.
-	reserve := int(math.Min(o.TStop/math.Max(o.DTMax, o.SampleDT), maxTraceReserve)) + len(breaks) + 8
-	newTrace := func(name string) *wave.Trace {
-		return &wave.Trace{Name: name, T: make([]float64, 0, reserve), V: make([]float64, 0, reserve)}
-	}
+	// Recording setup.
 	rec := map[string]*wave.Trace{}
 	var recNodes []int32
 	addRec := func(name string) {
@@ -457,7 +462,7 @@ func (e *Engine) run(opts Options, final []float64) (*Result, error) {
 		if !ok || rec[name] != nil {
 			return
 		}
-		rec[name] = newTrace(name)
+		rec[name] = &wave.Trace{Name: name}
 		recNodes = append(recNodes, i)
 	}
 	if o.Record == nil {
@@ -478,7 +483,7 @@ func (e *Engine) run(opts Options, final []float64) (*Result, error) {
 		if !ok || curTraces[name] != nil {
 			continue
 		}
-		curTraces[name] = newTrace("i(" + name + ")")
+		curTraces[name] = &wave.Trace{Name: "i(" + name + ")"}
 		curNodes = append(curNodes, i)
 	}
 
@@ -498,17 +503,30 @@ func (e *Engine) run(opts Options, final []float64) (*Result, error) {
 	}
 
 	res := &Result{Traces: rec, Currents: curTraces}
-	st.t, st.dt = 0, o.DTMax/8
+	// A run that records nothing is asked only for its end state: it
+	// steps without error control from the cheaper DTMax/8.
+	st.errCtl = len(recNodes)+len(curNodes) > 0
+	restart := o.DTMax / 8
+	if st.errCtl {
+		restart = math.Min(dtRestart, o.DTMax)
+	}
+	st.t, st.dt, st.dtPrev = 0, restart, 0
 	st.res, st.record = res, record
 	record(0, true)
 
 	var err error
 	for st.t < o.TStop && err == nil {
 		dtTry := math.Min(st.dt, o.TStop-st.t)
-		if nb := nextBreak(st.t); nb > st.t && nb-st.t < dtTry {
+		nb := nextBreak(st.t)
+		if nb > st.t && nb-st.t < dtTry {
 			dtTry = nb - st.t
 		}
 		err = e.advance(&o, st, dtTry)
+		if err == nil && nextBreak(st.t) != nb {
+			// On a source corner the inputs' slope jumps: the history
+			// no longer predicts the next step, so start over small.
+			st.dt, st.dtPrev = restart, 0
+		}
 	}
 	if final != nil {
 		copy(final, v)

@@ -27,7 +27,8 @@ func flatten(t *testing.T, deck string) *netlist.Flat {
 
 func TestRCDischarge(t *testing.T) {
 	// 1k * 1p = 1ns time constant; node seeded to 1V decays
-	// exponentially. Backward Euler at dt<=5ps tracks within a few %.
+	// exponentially. Error-controlled backward Euler tracks within a
+	// few %.
 	f := flatten(t, "rc\nR1 a 0 1k\nC1 a 0 1p\n")
 	res, err := Simulate(f, tech07(), Options{
 		TStop:    3e-9,
@@ -228,6 +229,9 @@ func TestRunOptionValidation(t *testing.T) {
 	}
 	if _, err := Simulate(f, tech07(), Options{TStop: math.NaN()}); err == nil {
 		t.Error("TStop=NaN must fail")
+	}
+	if res, err := Simulate(f, tech07(), Options{TStop: math.Inf(1)}); err == nil || res != nil {
+		t.Errorf("TStop=+Inf must fail before the run, got res=%v err=%v", res, err)
 	}
 }
 

@@ -10,17 +10,18 @@ import (
 )
 
 // Kernel benchmarks: the DC-heavy paths (operating points, standby
-// analysis, witness-style DC replay) on the analytic-stamp sparse
-// Newton kernel. The custom metrics report the Newton-iteration and
-// device-evaluation counts per solve, so a change in ns/op can be
-// attributed to cheaper iterations or to fewer of them.
+// analysis, witness-style DC replay) and the reference transients on
+// the analytic-stamp sparse Newton kernel. The custom metrics report
+// the step, Newton-iteration and device-evaluation counts per solve, so
+// a change in ns/op can be attributed to cheaper iterations or to
+// fewer of them.
 
-// engineFor compiles a gate-level circuit biased at one input vector
-// and seeds node voltages from a logic evaluation — the same warm
-// start the standby analysis and the experiments use.
-func engineFor(b *testing.B, c *circuit.Circuit, inputs map[string]bool) (*Engine, map[string]float64) {
+// engineFor compiles a gate-level circuit under a stimulus and seeds
+// node voltages from a logic evaluation of its old vector — the same
+// warm start the standby analysis and the experiments use.
+func engineFor(b *testing.B, c *circuit.Circuit, stim circuit.Stimulus) (*Engine, map[string]float64) {
 	b.Helper()
-	nl, err := c.Netlist(circuit.Stimulus{Old: inputs, New: inputs})
+	nl, err := c.Netlist(stim)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func engineFor(b *testing.B, c *circuit.Circuit, inputs map[string]bool) (*Engin
 	if err != nil {
 		b.Fatal(err)
 	}
-	vals, err := c.Evaluate(inputs)
+	vals, err := c.Evaluate(stim.Old)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,6 +44,11 @@ func engineFor(b *testing.B, c *circuit.Circuit, inputs map[string]bool) (*Engin
 		}
 	}
 	return e, seed
+}
+
+// steady is the stimulus that holds inputs for the whole run.
+func steady(inputs map[string]bool) circuit.Stimulus {
+	return circuit.Stimulus{Old: inputs, New: inputs}
 }
 
 // settled runs the standby analysis's warm-up from seed and returns
@@ -81,7 +87,7 @@ func benchOP(b *testing.B, e *Engine, seed map[string]float64) {
 func BenchmarkKernelOPAdder(b *testing.B) {
 	ad := circuits.RippleCarryAdder(tech07(), 4, 20e-15)
 	ad.SleepWL = 20
-	e, seed := engineFor(b, ad.Circuit, ad.Inputs(9, 6, false))
+	e, seed := engineFor(b, ad.Circuit, steady(ad.Inputs(9, 6, false)))
 	benchOP(b, e, seed)
 }
 
@@ -92,9 +98,42 @@ func BenchmarkKernelOPAdder(b *testing.B) {
 func BenchmarkKernelOPMultiplier(b *testing.B) {
 	m := circuits.CarrySaveMultiplier(tech07(), 4, 15e-15)
 	m.SleepWL = 40
-	e, seed := engineFor(b, m.Circuit, m.Inputs(0xF, 0x9))
+	e, seed := engineFor(b, m.Circuit, steady(m.Inputs(0xF, 0x9)))
 	benchOP(b, e, settled(b, e, seed))
 }
+
+// benchTransient runs the 20ns reference transient of one transition,
+// recording its outputs, the way Run does for the experiments.
+func benchTransient(b *testing.B, tr transition) {
+	b.Helper()
+	e, seed := engineFor(b, tr.c, tr.stim)
+	opts := Options{TStop: 20e-9, InitialV: seed, Record: make([]string, len(tr.outs))}
+	for i, n := range tr.outs {
+		opts.Record[i] = netlist.CanonNode(n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	steps, iters, evals := 0, 0, 0
+	for i := 0; i < b.N; i++ {
+		res, err := e.Run(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += res.Steps
+		iters += res.Sweeps
+		evals += res.Evals
+	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+	b.ReportMetric(float64(iters)/float64(b.N), "newton-iters/op")
+	b.ReportMetric(float64(evals)/float64(b.N), "mos-evals/op")
+}
+
+// BenchmarkKernelTransientAdder: one 20ns transient of adderEdge.
+func BenchmarkKernelTransientAdder(b *testing.B) { benchTransient(b, adderEdge()) }
+
+// BenchmarkKernelTransientMultiplier: one 20ns transient of
+// multVectorA.
+func BenchmarkKernelTransientMultiplier(b *testing.B) { benchTransient(b, multVectorA()) }
 
 // BenchmarkKernelStandby: the full standby-leakage analysis of the
 // 3-bit adder (warm-up transient plus two Newton DC solves), the

@@ -18,9 +18,23 @@ import "math"
 // voltage move falls below vTol. Attempts on the normal path and the
 // back-off rung run at most maxIters iterations; recovery rungs 2–4
 // allow twice that.
+//
+// Step control (advance, recovery.go): a converged step's local
+// truncation error on each capacitive node is measured against
+// lteRelTol·|v| + lteAbsTol. A step whose largest error ratio exceeds
+// lteReject is retried smaller; otherwise the next step is
+// dt·min(2, 0.9/√ratio). Error control alone never takes a step below
+// dtFloor. A run that records a waveform starts at dtRestart and takes
+// it again after every source corner.
 const (
 	vTol     = 20e-6 // 20 µV
 	maxIters = 60
+
+	lteRelTol = 7e-5
+	lteAbsTol = 10e-6 // 10 µV
+	lteReject = 3
+	dtFloor   = 0.5e-12
+	dtRestart = 0.625e-12
 )
 
 // solveNewton solves one timestep attempt: at most a.maxIter Newton
@@ -42,7 +56,7 @@ func (e *Engine) solveNewton(st *runState, a attempt) sweepOut {
 	lim := 0.5 * (math.Abs(e.tech.Vdd) + 1)
 	for ; out.sweeps < a.maxIter; out.sweeps++ {
 		st.einfo.Sweep = out.sweeps
-		e.stampSystem(w, vtrial, st.vprev, a.dt, a.gmin, st)
+		e.stampSystem(w, vtrial, st.v, a.dt, a.gmin, st)
 		for k, f := range w.rhs {
 			if math.IsNaN(f) || math.IsInf(f, 0) {
 				out.nan, out.worst = true, e.free[k]

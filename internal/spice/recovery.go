@@ -94,10 +94,19 @@ type Intercept func(info EvalInfo, ids float64) float64
 // the solver vectors are recycled through the engine's pool, while
 // everything that escapes to the caller (the Result) is run-fresh.
 type runState struct {
+	// v holds the node voltages at t and vtrial those of the step being
+	// solved; vprev holds them at the accepted point dtPrev before t.
+	// dtPrev is 0 while there is no history to extrapolate from or
+	// estimate error with: at the start, after a source corner and
+	// after a rescued step.
 	v, vprev, vtrial []float64
-	t, dt            float64
-	res              *Result
-	record           func(t float64, force bool)
+	t, dt, dtPrev    float64
+	// errCtl enables local-truncation-error step control and the
+	// predictor. A run that records no waveform needs only its end
+	// state: it keeps no history, so it runs without either.
+	errCtl bool
+	res    *Result
+	record func(t float64, force bool)
 
 	// Device-evaluation interception (fault injection) for this run.
 	icept Intercept
@@ -153,10 +162,18 @@ func (e *Engine) checkBudgets(o *Options, st *runState) error {
 }
 
 // attemptStep seeds vtrial, applies the (possibly ramped) source
-// values for t+dt, and runs the Newton step solver.
+// values for t+dt, and runs the Newton step solver. On the normal path
+// the seed extrapolates the last two accepted points; the recovery
+// rungs start from v.
 func (e *Engine) attemptStep(st *runState, a attempt) sweepOut {
-	copy(st.vprev, st.v)
-	if !a.keepSeed {
+	switch {
+	case a.keepSeed:
+	case a.rung == RungNone && st.dtPrev > 0:
+		r := a.dt / st.dtPrev
+		for i, x := range st.v {
+			st.vtrial[i] = x + r*(x-st.vprev[i])
+		}
+	default:
 		copy(st.vtrial, st.v)
 	}
 	tNew := st.t + a.dt
@@ -175,12 +192,37 @@ func (e *Engine) attemptStep(st *runState, a attempt) sweepOut {
 	return e.solveNewton(st, a)
 }
 
+// errRatio is the converged step's largest local-truncation-error
+// estimate as a multiple of its tolerance. Backward Euler's error is
+// dt²/2 times the node voltage's second derivative, which the divided
+// differences of the last three accepted points (vprev, v and the
+// solved vtrial) estimate. A node without capacitance carries no state
+// and is skipped. The ratio is 0 when the history does not reach back
+// a step.
+func (e *Engine) errRatio(st *runState, dt float64) float64 {
+	if st.dtPrev == 0 {
+		return 0
+	}
+	ratio := 0.0
+	for _, i := range e.capNodes {
+		v0, v1, v2 := st.vprev[i], st.v[i], st.vtrial[i]
+		dd2 := ((v2-v1)/dt - (v1-v0)/st.dtPrev) / (dt + st.dtPrev)
+		tol := lteRelTol*math.Max(math.Abs(v1), math.Abs(v2)) + lteAbsTol
+		ratio = math.Max(ratio, dt*dt*math.Abs(dd2)/tol)
+	}
+	return ratio
+}
+
 // advance takes one timestep of at most dtTry from st.t, climbing the
 // convergence-recovery ladder on failure: timestep back-off, then
-// damped Newton, then Gmin conductance stepping, then source ramping. On success the state and result are updated; otherwise a
-// typed *simerr.Error is returned and the partial result stays valid.
+// damped Newton, then Gmin conductance stepping, then source ramping.
+// A converged step whose error estimate is too large is retried
+// smaller; that is step control, not recovery. On success the state
+// and result are updated; otherwise a typed *simerr.Error is returned
+// and the partial result stays valid.
 func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
-	accept := func(a attempt, sweeps int, rescued bool) {
+	accept := func(a attempt, sweeps int, ratio float64, rescued bool) {
+		copy(st.vprev, st.v)
 		copy(st.v, st.vtrial)
 		st.t += a.dt
 		st.res.Steps++
@@ -188,15 +230,19 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		if rescued {
 			st.res.Recovery.Rescued++
 			// Restart cautiously from the rescued step's size.
-			st.dt = math.Max(a.dt, o.DTMin)
+			st.dt, st.dtPrev = math.Max(a.dt, o.DTMin), 0
 			return
 		}
-		// Adapt: quick Newton convergence earns a larger step.
-		if sweeps <= 6 {
-			st.dt = math.Min(st.dt*1.4, o.DTMax)
-		} else if sweeps > 20 {
-			st.dt = math.Max(st.dt/2, o.DTMin)
+		if st.errCtl {
+			st.dtPrev = a.dt
 		}
+		// Ratio 0 (no estimate) doubles the step; error control alone
+		// shrinks it no further than dtFloor.
+		next := math.Max(a.dt*math.Min(2, 0.9/math.Sqrt(ratio)), math.Min(a.dt, dtFloor))
+		if sweeps > 20 {
+			next = math.Max(a.dt/2, o.DTMin)
+		}
+		st.dt = math.Min(next, o.DTMax)
 	}
 
 	// Rung 1: plain attempts with timestep back-off.
@@ -213,7 +259,12 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 			return e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
 		}
 		if out.converged {
-			accept(a, out.sweeps, false)
+			ratio := e.errRatio(st, a.dt)
+			if ratio > lteReject && a.dt > dtFloor {
+				dtTry = math.Max(a.dt*0.9/math.Sqrt(ratio), dtFloor)
+				continue
+			}
+			accept(a, out.sweeps, ratio, false)
 			return nil
 		}
 		last = out
@@ -242,7 +293,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		}
 		if out.converged {
 			st.res.Recovery.Dampings++
-			accept(a, out.sweeps, true)
+			accept(a, out.sweeps, 0, true)
 			return nil
 		}
 		last = out
@@ -255,7 +306,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		return err
 	} else if ok {
 		st.res.Recovery.GminSteps++
-		accept(a, out.sweeps, true)
+		accept(a, out.sweeps, 0, true)
 		return nil
 	} else if out.worst >= 0 {
 		last = out
@@ -267,7 +318,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		return err
 	} else if ok {
 		st.res.Recovery.SourceRamps++
-		accept(a, out.sweeps, true)
+		accept(a, out.sweeps, 0, true)
 		return nil
 	} else if out.worst >= 0 {
 		last = out
