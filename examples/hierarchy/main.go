@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	trs := []mtcmos.HierarchyTransition{
+	trs := []mtcmos.Transition{
 		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
 		{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
 	}
@@ -64,7 +64,7 @@ func main() {
 		return strings.SplitN(name, "_", 2)[0]
 	})
 	mask := uint64(15)
-	adTrs := []mtcmos.HierarchyTransition{
+	adTrs := []mtcmos.Transition{
 		{Old: ad.Inputs(0, 0, false), New: ad.Inputs(mask, 1, false), Label: "ripple"},
 		{Old: ad.Inputs(0, 0, false), New: ad.Inputs(mask, mask, false), Label: "all-on"},
 	}

@@ -31,9 +31,27 @@ type Stimulus struct {
 	Old, New map[string]bool
 	TEdge    float64
 	TRise    float64
-	// SleepOn drives the sleep gate low (device off) when false,
-	// putting the netlist in standby; default true (active mode).
-	SleepOff bool
+}
+
+// The paper's input edge, applied to every benchmark transition:
+// inputs start switching at EdgeAt and ramp over EdgeRise (1 ns /
+// 50 ps).
+const (
+	EdgeAt   = 1e-9
+	EdgeRise = 50e-12
+)
+
+// Transition is an input-vector pair: the unit the sizing methods, the
+// hierarchical analysis and the experiments evaluate. Label names it
+// in errors and warnings.
+type Transition struct {
+	Old, New map[string]bool
+	Label    string
+}
+
+// Stimulus applies the paper's input edge to the pair.
+func (tr Transition) Stimulus() Stimulus {
+	return Stimulus{Old: tr.Old, New: tr.New, TEdge: EdgeAt, TRise: EdgeRise}
 }
 
 // Netlist expands the circuit into a flat transistor-level deck:
@@ -166,11 +184,7 @@ func (c *Circuit) Netlist(stim Stimulus) (*netlist.Netlist, error) {
 		}
 	}
 	if anySleep {
-		gateV := c.Tech.Vdd
-		if stim.SleepOff {
-			gateV = 0
-		}
-		top.Vs = append(top.Vs, netlist.Vsrc{Name: "vsleep", P: NodeSleep, N: netlist.Ground, DC: gateV})
+		top.Vs = append(top.Vs, netlist.Vsrc{Name: "vsleep", P: NodeSleep, N: netlist.Ground, DC: c.Tech.Vdd})
 	}
 
 	// Input sources.

@@ -1,9 +1,17 @@
 // Package circuits generates the benchmark circuits used throughout
 // the paper's evaluation: the 1-3-9 inverter tree of Fig. 4, the N-bit
 // mirror ripple-carry adder of Fig. 12, and the NxN carry-save array
-// multiplier of Fig. 6, plus a plain inverter chain for calibration.
-// All generators return gate-level circuits; set SleepWL on the result
-// to wrap it in MTCMOS.
+// multiplier of Fig. 6, plus a plain inverter chain for calibration
+// and the decoded-select datapath of the exclusion refinement. All
+// generators return gate-level circuits; set SleepWL on the result to
+// wrap it in MTCMOS.
+//
+// The Paper* constructors and the named vector pairs (InverterEdges,
+// Adder.CarryRipple, Multiplier.VectorA, ...) are the one catalogue of
+// the paper's benchmarks that the tools and experiments share. Each
+// constructor builds a fresh instance at its paper node and load, so a
+// caller may set SleepWL on its own copy; circuit.Transition.Stimulus
+// applies a pair with the paper's input edge.
 package circuits
 
 import (
@@ -22,8 +30,18 @@ const (
 	MinSelectBits     = 1 // SelectTree datapath bits
 )
 
+// The widths the tools build when their user sets none: the paper's
+// 3-bit adder and 8x8 multiplier, a 4-stage calibration chain, and the
+// 8-bit select tree of the refinement experiment.
+const (
+	DefaultChainLength    = 4
+	DefaultAdderBits      = 3
+	DefaultMultiplierBits = 8
+	DefaultSelectBits     = 8
+)
+
 // CheckWidth refuses a width v below a generator minimum, naming it;
-// 0 stands for the caller's default width and passes.
+// 0 stands for the default width (the Default* constants) and passes.
 func CheckWidth(name string, v, least int) error {
 	if v != 0 && v < least {
 		return fmt.Errorf("%s %d: the width must be at least %d (0 = default)", name, v, least)
@@ -346,4 +364,22 @@ func SelectTree(tech *mosfet.Tech, bits int, load float64) *circuit.Circuit {
 		panic("circuits: SelectTree: " + err.Error())
 	}
 	return c
+}
+
+// Select wraps a generated select tree with an operand helper.
+type Select struct {
+	*circuit.Circuit
+	Bits int
+}
+
+// Inputs encodes a select value and two operands as an input-vector
+// map: bit i of a and b drive a<i> and b<i>.
+func (s *Select) Inputs(sel bool, a, b uint64) map[string]bool {
+	in := make(map[string]bool, 2*s.Bits+1)
+	in["sel"] = sel
+	for i := 0; i < s.Bits; i++ {
+		in[fmt.Sprintf("a%d", i)] = a>>uint(i)&1 == 1
+		in[fmt.Sprintf("b%d", i)] = b>>uint(i)&1 == 1
+	}
+	return in
 }

@@ -71,6 +71,19 @@ func checkWidth(flagName string, v, least int) error {
 	return nil
 }
 
+// bitsWidth resolves the -bits flag of mtsim and mtsize for one
+// benchmark: 0 takes the catalogue's default width def, and a width
+// below the generator's minimum least is a usage error.
+func bitsWidth(v, least, def int) (int, error) {
+	if err := checkWidth("bits", v, least); err != nil {
+		return 0, err
+	}
+	if v == 0 {
+		return def, nil
+	}
+	return v, nil
+}
+
 // budgetCtx applies the -timeout flag as a deadline whose cause is a
 // budget error: an overrun classifies as ErrBudget (exit 4), keeping
 // it distinct from a Ctrl-C cancellation (exit 5).

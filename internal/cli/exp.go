@@ -53,6 +53,9 @@ func ExpContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	if err == nil {
 		err = checkWidth("adder", *adderN, circuits.MinAdderBits)
 	}
+	if err == nil && *spiceN < 0 {
+		err = fmt.Errorf("%w: -spicevectors %d: the vector count must be at least 0 (0 = default)", errUsage, *spiceN)
+	}
 	if err != nil {
 		fmt.Fprintln(w, "mtexp:", err)
 		return err

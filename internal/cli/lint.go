@@ -68,7 +68,7 @@ func Lint(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tech, err := lintTech(*techF)
+	tech, err := parseTech(*techF)
 	if err != nil {
 		return err
 	}
@@ -173,7 +173,9 @@ func lintDeckFile(path string, tech *mtcmos.Tech, opts lint.Options) ([]lint.Dia
 	return lint.RunWith(nl, nil, tech, opts), nil
 }
 
-func lintTech(name string) (*mtcmos.Tech, error) {
+// parseTech reads the -tech flag of mtlint and mtsim: 0.7 or 0.3 (um),
+// or none (nil) for no technology; any other value is a usage error.
+func parseTech(name string) (*mtcmos.Tech, error) {
 	switch name {
 	case "0.7":
 		t := mtcmos.Tech07()
@@ -184,7 +186,7 @@ func lintTech(name string) (*mtcmos.Tech, error) {
 	case "none", "":
 		return nil, nil
 	}
-	return nil, fmt.Errorf("unknown tech %q (0.7 | 0.3 | none)", name)
+	return nil, fmt.Errorf("%w: unknown -tech %q (0.7 | 0.3 | none)", errUsage, name)
 }
 
 // failOnLintErrors turns error-severity findings into a refusal that

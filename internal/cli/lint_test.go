@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the mtlint golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()

@@ -48,9 +48,10 @@ func TestUsageErrorExitCode(t *testing.T) {
 }
 
 // TestOperandWidthIsAUsageError: a width the circuit generators
-// cannot build is refused before they run, as a usage error naming
-// the flag and its minimum. mtexp, whose main prints no error, also
-// prints it on its output.
+// cannot build, a vector that does not fit the circuit, a -tech mtsim
+// cannot apply and a negative reference-engine vector budget are
+// refused before anything runs, as usage errors naming the flag. mtexp,
+// whose main prints no error, also prints it on its output.
 func TestOperandWidthIsAUsageError(t *testing.T) {
 	cases := []struct {
 		tool string
@@ -66,6 +67,13 @@ func TestOperandWidthIsAUsageError(t *testing.T) {
 		{"mtsize", Size, []string{"-circuit", "select", "-bits", "-1"}, "-bits -1: the width must be at least 1"},
 		{"mtexp", Exp, []string{"-e", "fig7", "-fast", "-mult", "1"}, "-mult 1: the width must be at least 2"},
 		{"mtexp", Exp, []string{"-e", "fig13", "-fast", "-adder", "-1"}, "-adder -1: the width must be at least 1"},
+		{"mtexp", Exp, []string{"-e", "fig14", "-fast", "-spicevectors", "-1"}, "-spicevectors -1: the vector count must be at least 0"},
+		{"mtsim", Sim, []string{"-circuit", "adder", "-old", "9,0", "-new", "7,5"}, `-old 9,0: operand "9" is not a 3-bit base-10 number`},
+		{"mtsim", Sim, []string{"-circuit", "mult", "-bits", "4", "-new", "f,10"}, `-new f,10: operand "10" is not a 4-bit base-16 number`},
+		{"mtsim", Sim, []string{"-circuit", "tree", "-old", "2", "-new", "1"}, "-old 2: the input level must be 0 or 1"},
+		{"mtsim", Sim, []string{"-circuit", "chain", "-new", "banana"}, "-new banana: the input level must be 0 or 1"},
+		{"mtsim", Sim, []string{"-circuit", "tree", "-tech", "0.3"}, "-tech applies to -netlist decks"},
+		{"mtsim", Sim, []string{"-netlist", "testdata/clean.sp", "-tech", "0.5"}, `unknown -tech "0.5"`},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer

@@ -32,14 +32,14 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	var (
 		circ    = fs.String("circuit", "tree", "benchmark circuit: tree | chain | adder | mult")
 		netFile = fs.String("netlist", "", "simulate a raw SPICE-dialect deck instead of a benchmark circuit")
-		techF   = fs.String("tech", "", "technology: 0.7 | 0.3 (defaults to the circuit's paper node)")
+		techF   = fs.String("tech", "", "technology of a -netlist deck: 0.7 | 0.3 (default 0.7); benchmark circuits run at their paper node")
 		wlS     = fs.String("wl", "10", "sleep transistor W/L (0 = plain CMOS); a comma-separated list sweeps the sizes on the parallel executor (vbs engine)")
 		jobs    = fs.Int("j", 0, "parallel workers for a -wl sweep (0 = one per CPU, 1 = serial)")
 		cx      = fs.Float64("cx", 0, "virtual-ground parasitic capacitance (farads)")
 		engine  = fs.String("engine", "vbs", "simulation engine: vbs (switch-level) | spice (reference)")
-		oldV    = fs.String("old", "", "old input vector (circuit-specific, e.g. '0,1' or '7f,81'; tree: 0|1)")
-		newV    = fs.String("new", "", "new input vector")
-		bits    = fs.Int("bits", 0, "operand width for adder/mult (defaults 3 / 8)")
+		oldV    = fs.String("old", "", "old input vector: tree/chain 0|1, adder 'a,b' (decimal), mult 'x,y' (hex); operands must fit -bits")
+		newV    = fs.String("new", "", "new input vector (defaults: tree/chain 1 from 0, adder 7,5 from 0,0 masked to -bits, mult the paper's vector A)")
+		bits    = fs.Int("bits", 0, "chain length / adder or mult operand width (defaults 4 / 3 / 8; the tree has none)")
 		traceS  = fs.String("trace", "", "comma-separated nets to print waveforms for")
 		plot    = fs.Bool("plot", false, "ASCII-plot traced waveforms")
 		tstop   = fs.String("tstop", "", "simulation horizon for the reference engine (e.g. 20n)")
@@ -59,6 +59,20 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		printVersion(w, "mtsim")
 		return nil
 	}
+	tech := mtcmos.Tech07()
+	if *techF != "" {
+		if *netFile == "" {
+			return fmt.Errorf("%w: -tech applies to -netlist decks; a benchmark circuit runs at its paper node", errUsage)
+		}
+		t, err := parseTech(*techF)
+		if err != nil {
+			return err
+		}
+		if t == nil {
+			return fmt.Errorf("%w: -tech none: simulating a deck needs a technology (0.7 | 0.3)", errUsage)
+		}
+		tech = *t
+	}
 	prof, err := profF.start()
 	if err != nil {
 		return err
@@ -68,7 +82,7 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	defer cancel()
 
 	if *netFile != "" {
-		return runNetlist(ctx, w, *netFile, *techF, *tstop, *traceS, *plot, *nolint, *maxStep)
+		return runNetlist(ctx, w, *netFile, &tech, *tstop, *traceS, *plot, *nolint, *maxStep)
 	}
 
 	var wls []float64
@@ -80,10 +94,11 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 		wls = append(wls, v)
 	}
 
-	c, stim, outs, err := buildCircuit(*circ, *bits, *oldV, *newV)
+	c, tr, outs, err := buildCircuit(*circ, *bits, *oldV, *newV)
 	if err != nil {
 		return err
 	}
+	stim := tr.Stimulus()
 	c.VGndCap = *cx
 	if !*nolint {
 		// Every sweep entry passes the gate a single -wl would.
@@ -96,25 +111,16 @@ func SimContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	}
 	c.SleepWL = wls[0]
 
+	opts := mtcmos.SwitchOptions{ReverseConduction: *rev, NoBodyEffect: *nobody, Ctx: ctx, MaxEvents: *maxStep}
 	if len(wls) > 1 {
 		if *engine != "vbs" {
 			return fmt.Errorf("-wl sweeps support the vbs engine only (got %q)", *engine)
 		}
-		return runSweep(w, c, stim, outs, wls, mtcmos.BatchOptions{
-			Workers: *jobs,
-			Sim: mtcmos.SwitchOptions{
-				ReverseConduction: *rev, NoBodyEffect: *nobody,
-				Ctx: ctx, MaxEvents: *maxStep,
-			},
-		})
+		return runSweep(w, c, stim, outs, wls, mtcmos.BatchOptions{Workers: *jobs, Sim: opts})
 	}
 
 	switch *engine {
 	case "vbs":
-		opts := mtcmos.SwitchOptions{
-			ReverseConduction: *rev, NoBodyEffect: *nobody,
-			Ctx: ctx, MaxEvents: *maxStep,
-		}
 		if *traceS != "" {
 			opts.TraceNets = strings.Split(*traceS, ",")
 		}
@@ -194,77 +200,90 @@ func runSweep(w io.Writer, c *mtcmos.Circuit, stim mtcmos.Stimulus, outs []strin
 	return nil
 }
 
-func parseUint(s string, base int) (uint64, error) {
-	return strconv.ParseUint(strings.TrimSpace(s), base, 64)
-}
-
-func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mtcmos.Stimulus, []string, error) {
-	stim := mtcmos.Stimulus{TEdge: 1e-9, TRise: 50e-12}
+// buildCircuit builds the named benchmark from the catalogue with the
+// transition -old and -new select; an unset vector keeps the default.
+func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mtcmos.Transition, []string, error) {
+	var none mtcmos.Transition
 	switch kind {
 	case "tree":
-		tech := mtcmos.Tech07()
-		c := mtcmos.InverterTree(&tech, 3, 3, 50e-15)
-		o := oldS != "1"
-		stim.Old = map[string]bool{"in": !o}
-		stim.New = map[string]bool{"in": newS != "0"}
-		return c, stim, c.OutputNames(), nil
+		c := circuits.PaperTree()
+		tr, err := inputEdge(oldS, newS)
+		return c, tr, c.OutputNames(), err
 	case "chain":
-		if err := checkWidth("bits", bits, circuits.MinChainLength); err != nil {
-			return nil, stim, nil, err
+		n, err := bitsWidth(bits, circuits.MinChainLength, circuits.DefaultChainLength)
+		if err != nil {
+			return nil, none, nil, err
 		}
-		tech := mtcmos.Tech07()
-		n := bits
-		if n == 0 {
-			n = 4
-		}
-		c := mtcmos.InverterChain(&tech, n, 20e-15)
-		stim.Old = map[string]bool{"in": oldS == "1"}
-		stim.New = map[string]bool{"in": newS != "0"}
-		return c, stim, c.OutputNames(), nil
+		c := circuits.PaperChain(n)
+		tr, err := inputEdge(oldS, newS)
+		return c, tr, c.OutputNames(), err
 	case "adder":
-		if err := checkWidth("bits", bits, circuits.MinAdderBits); err != nil {
-			return nil, stim, nil, err
-		}
-		tech := mtcmos.Tech07()
-		if bits == 0 {
-			bits = 3
-		}
-		ad := mtcmos.RippleCarryAdder(&tech, bits, 20e-15)
-		oa, ob, err := pair(oldS, 10, 0, 0)
+		n, err := bitsWidth(bits, circuits.MinAdderBits, circuits.DefaultAdderBits)
 		if err != nil {
-			return nil, stim, nil, err
+			return nil, none, nil, err
 		}
-		na, nb, err := pair(newS, 10, 7, 5)
-		if err != nil {
-			return nil, stim, nil, err
-		}
-		stim.Old = ad.Inputs(oa, ob, false)
-		stim.New = ad.Inputs(na, nb, false)
-		return ad.Circuit, stim, ad.Circuit.OutputNames(), nil
+		ad := circuits.PaperAdder(n)
+		mask := uint64(1)<<uint(n) - 1
+		tr := ad.Pair(0, 0, 7&mask, 5&mask)
+		err = setOperands(&tr, oldS, newS, 10, n, func(a, b uint64) map[string]bool { return ad.Inputs(a, b, false) })
+		return ad.Circuit, tr, ad.OutputNames(), err
 	case "mult":
-		if err := checkWidth("bits", bits, circuits.MinMultiplierBits); err != nil {
-			return nil, stim, nil, err
-		}
-		tech := mtcmos.Tech03()
-		if bits == 0 {
-			bits = 8
-		}
-		m := mtcmos.CarrySaveMultiplier(&tech, bits, 15e-15)
-		ox, oy, err := pair(oldS, 16, 0, 0)
+		n, err := bitsWidth(bits, circuits.MinMultiplierBits, circuits.DefaultMultiplierBits)
 		if err != nil {
-			return nil, stim, nil, err
+			return nil, none, nil, err
 		}
-		mask := uint64(1)<<uint(bits) - 1
-		nx, ny, err := pair(newS, 16, mask, (1|1<<uint(bits-1))&mask)
-		if err != nil {
-			return nil, stim, nil, err
-		}
-		stim.Old = m.Inputs(ox, oy)
-		stim.New = m.Inputs(nx, ny)
-		return m.Circuit, stim, m.ProductNets, nil
+		m := circuits.PaperMultiplier(n)
+		tr := m.VectorA()
+		err = setOperands(&tr, oldS, newS, 16, n, m.Inputs)
+		return m.Circuit, tr, m.ProductNets, err
 	default:
-		return nil, stim, nil, fmt.Errorf("unknown circuit %q (tree|chain|adder|mult)", kind)
+		return nil, none, nil, fmt.Errorf("unknown circuit %q (tree|chain|adder|mult)", kind)
 	}
+}
+
+// inputEdge reads -old and -new as the levels, 0 or 1, of the tree's
+// or the chain's input; unset, they make a rising edge.
+func inputEdge(oldS, newS string) (mtcmos.Transition, error) {
+	level := [2]bool{false, true}
+	for i, v := range []struct{ flag, s string }{{"old", oldS}, {"new", newS}} {
+		switch v.s {
+		case "":
+		case "0", "1":
+			level[i] = v.s == "1"
+		default:
+			return mtcmos.Transition{}, fmt.Errorf("%w: -%s %s: the input level must be 0 or 1", errUsage, v.flag, v.s)
+		}
+	}
+	return circuits.InputEdge(level[0], level[1]), nil
+}
+
+// setOperands replaces the old and new vectors of tr with the operand
+// pairs "a,b" that -old and -new give in base, where set; inputs
+// encodes a pair. An operand must fit in bits; anything else is a
+// usage error naming the flag.
+func setOperands(tr *mtcmos.Transition, oldS, newS string, base, bits int, inputs func(a, b uint64) map[string]bool) error {
+	for _, v := range []struct {
+		flag, s string
+		vec     *map[string]bool
+	}{{"old", oldS, &tr.Old}, {"new", newS, &tr.New}} {
+		if v.s == "" {
+			continue
+		}
+		parts := strings.Split(v.s, ",")
+		if len(parts) != 2 {
+			return fmt.Errorf("%w: -%s %s: the vector must be 'a,b'", errUsage, v.flag, v.s)
+		}
+		var ab [2]uint64
+		for i, p := range parts {
+			x, err := strconv.ParseUint(strings.TrimSpace(p), base, 64)
+			if err != nil || x>>uint(bits) != 0 {
+				return fmt.Errorf("%w: -%s %s: operand %q is not a %d-bit base-%d number", errUsage, v.flag, v.s, p, bits, base)
+			}
+			ab[i] = x
+		}
+		*v.vec = inputs(ab[0], ab[1])
+	}
+	return nil
 }
 
 // writeCSVFile writes one waveform CSV into dir, creating it if
@@ -290,26 +309,6 @@ func writeCSVFile(dir, name string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// pair parses "a,b" in the given base, with defaults when empty.
-func pair(s string, base int, da, db uint64) (uint64, uint64, error) {
-	if s == "" {
-		return da, db, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("vector %q must be 'a,b'", s)
-	}
-	a, err := parseUint(parts[0], base)
-	if err != nil {
-		return 0, 0, err
-	}
-	b, err := parseUint(parts[1], base)
-	if err != nil {
-		return 0, 0, err
-	}
-	return a, b, nil
 }
 
 // sortedKeys returns a map's keys in order, so nodes print the same way
@@ -376,7 +375,7 @@ func newSeries(name string) *mtcmos.Series {
 }
 
 func printSpice(w io.Writer, c *mtcmos.Circuit, res *mtcmos.SpiceResult, outs []string, traced string, plot bool) {
-	fmt.Fprintf(w, "steps: %d  newton iterations: %d  device evals: %d\n", res.Steps, res.Sweeps, res.Evals)
+	fmt.Fprintf(w, "steps: %d  newton iterations: %d  device evals: %d\n", res.Steps, res.Iterations, res.Evals)
 	for _, n := range outs {
 		if d, err := res.Delay(n); err == nil {
 			fmt.Fprintf(w, "delay %-12s %.4g ns\n", n, d*1e9)
@@ -403,7 +402,7 @@ func printSpice(w io.Writer, c *mtcmos.Circuit, res *mtcmos.SpiceResult, outs []
 	}
 }
 
-func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced string, plot, nolint bool, maxSteps int) error {
+func runNetlist(ctx context.Context, w io.Writer, path string, tech *mtcmos.Tech, tstop, traced string, plot, nolint bool, maxSteps int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -413,12 +412,8 @@ func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced str
 	if err != nil {
 		return err
 	}
-	tech := mtcmos.Tech07()
-	if techF == "0.3" {
-		tech = mtcmos.Tech03()
-	}
 	if !nolint {
-		if err := failOnLintErrors(lint.Run(nl, nil, &tech), "deck "+path); err != nil {
+		if err := failOnLintErrors(lint.Run(nl, nil, tech), "deck "+path); err != nil {
 			return err
 		}
 	}
@@ -434,11 +429,11 @@ func runNetlist(ctx context.Context, w io.Writer, path, techF, tstop, traced str
 	if traced != "" {
 		opts.Record = strings.Split(traced, ",")
 	}
-	res, err := mtcmos.SimulateNetlist(nl, &tech, opts)
+	res, err := mtcmos.SimulateNetlist(nl, tech, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "steps: %d  newton iterations: %d\n", res.Steps, res.Sweeps)
+	fmt.Fprintf(w, "steps: %d  newton iterations: %d\n", res.Steps, res.Iterations)
 	for _, name := range sortedKeys(res.Traces) {
 		tr := res.Traces[name]
 		fmt.Fprintf(w, "node %-14s final %.4g V (%d samples)\n", name, tr.Final(), tr.Len())

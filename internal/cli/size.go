@@ -24,7 +24,7 @@ func SizeContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	fs.SetOutput(w)
 	var (
 		circ    = fs.String("circuit", "tree", "benchmark circuit: tree | adder | mult | select")
-		bits    = fs.Int("bits", 0, "operand width for adder/mult (defaults 3 / 8)")
+		bits    = fs.Int("bits", 0, "operand width for adder/mult/select (defaults 3 / 8 / 8; the tree has none)")
 		target  = fs.Float64("target", 5, "delay degradation budget in percent")
 		bounce  = fs.Float64("bounce", 0.05, "bounce budget for the peak-current method (volts)")
 		nvec    = fs.Int("vectors", 8, "random stressing transitions to evaluate (plus the paper's named vectors)")
@@ -177,95 +177,55 @@ func SizeContext(ctx context.Context, args []string, w io.Writer) (err error) {
 	return nil
 }
 
+// build builds the named benchmark from the catalogue with its named
+// transitions and, after them, nvec random ones drawn from seed.
 func build(kind string, bits, nvec int, seed int64) (*mtcmos.Circuit, mtcmos.SizingConfig, []mtcmos.Transition, error) {
 	rng := rand.New(rand.NewSource(seed))
+	random := func(trs []mtcmos.Transition, draw func() mtcmos.Transition) []mtcmos.Transition {
+		for i := 0; i < nvec; i++ {
+			tr := draw()
+			tr.Label = fmt.Sprintf("rand%d", i)
+			trs = append(trs, tr)
+		}
+		return trs
+	}
+	// operand draws n-bit operands.
+	operand := func(n int) func() uint64 {
+		mask := uint64(1)<<uint(n) - 1
+		return func() uint64 { return rng.Uint64() & mask }
+	}
+	var none mtcmos.SizingConfig
 	switch kind {
 	case "tree":
-		tech := mtcmos.Tech07()
-		c := mtcmos.InverterTree(&tech, 3, 3, 50e-15)
-		trs := []mtcmos.Transition{
-			{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
-			{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
-		}
-		return c, mtcmos.SizingConfig{}, trs, nil
+		return circuits.PaperTree(), none, circuits.InverterEdges(), nil
 	case "adder":
-		if err := checkWidth("bits", bits, circuits.MinAdderBits); err != nil {
-			return nil, mtcmos.SizingConfig{}, nil, err
+		n, err := bitsWidth(bits, circuits.MinAdderBits, circuits.DefaultAdderBits)
+		if err != nil {
+			return nil, none, nil, err
 		}
-		tech := mtcmos.Tech07()
-		if bits == 0 {
-			bits = 3
-		}
-		ad := mtcmos.RippleCarryAdder(&tech, bits, 20e-15)
-		mask := uint64(1)<<uint(bits) - 1
-		trs := []mtcmos.Transition{
-			{Old: ad.Inputs(0, 0, false), New: ad.Inputs(mask, 1, false), Label: "carry ripple"},
-			{Old: ad.Inputs(0, 0, false), New: ad.Inputs(mask, mask, false), Label: "all on"},
-		}
-		for i := 0; i < nvec; i++ {
-			oa, ob := rng.Uint64()&mask, rng.Uint64()&mask
-			na, nb := rng.Uint64()&mask, rng.Uint64()&mask
-			trs = append(trs, mtcmos.Transition{
-				Old:   ad.Inputs(oa, ob, false),
-				New:   ad.Inputs(na, nb, false),
-				Label: fmt.Sprintf("rand%d", i),
-			})
-		}
-		return ad.Circuit, mtcmos.SizingConfig{}, trs, nil
+		ad, r := circuits.PaperAdder(n), operand(n)
+		return ad.Circuit, none, random([]mtcmos.Transition{ad.CarryRipple(), ad.AllOn()},
+			func() mtcmos.Transition { return ad.Pair(r(), r(), r(), r()) }), nil
 	case "mult":
-		if err := checkWidth("bits", bits, circuits.MinMultiplierBits); err != nil {
-			return nil, mtcmos.SizingConfig{}, nil, err
+		n, err := bitsWidth(bits, circuits.MinMultiplierBits, circuits.DefaultMultiplierBits)
+		if err != nil {
+			return nil, none, nil, err
 		}
-		tech := mtcmos.Tech03()
-		if bits == 0 {
-			bits = 8
-		}
-		m := mtcmos.CarrySaveMultiplier(&tech, bits, 15e-15)
-		mask := uint64(1)<<uint(bits) - 1
-		y := (1 | 1<<uint(bits-1)) & mask
-		trs := []mtcmos.Transition{
-			{Old: m.Inputs(0, 0), New: m.Inputs(mask, y), Label: "A (paper)"},
-			{Old: m.Inputs(mask>>1, y), New: m.Inputs(mask, y), Label: "B (paper)"},
-		}
-		for i := 0; i < nvec; i++ {
-			trs = append(trs, mtcmos.Transition{
-				Old:   m.Inputs(rng.Uint64()&mask, rng.Uint64()&mask),
-				New:   m.Inputs(rng.Uint64()&mask, rng.Uint64()&mask),
-				Label: fmt.Sprintf("rand%d", i),
-			})
-		}
-		return m.Circuit, mtcmos.SizingConfig{Outputs: m.ProductNets}, trs, nil
+		m, r := circuits.PaperMultiplier(n), operand(n)
+		return m.Circuit, mtcmos.SizingConfig{Outputs: m.ProductNets}, random([]mtcmos.Transition{m.VectorA(), m.VectorB()},
+			func() mtcmos.Transition { return m.Pair(r(), r(), r(), r()) }), nil
 	case "select":
-		if err := checkWidth("bits", bits, circuits.MinSelectBits); err != nil {
-			return nil, mtcmos.SizingConfig{}, nil, err
+		n, err := bitsWidth(bits, circuits.MinSelectBits, circuits.DefaultSelectBits)
+		if err != nil {
+			return nil, none, nil, err
 		}
-		tech := mtcmos.Tech07()
-		if bits == 0 {
-			bits = 8
-		}
-		c := mtcmos.SelectTree(&tech, bits, 20e-15)
-		vec := func(sel bool, a, b uint64) map[string]bool {
-			in := map[string]bool{"sel": sel}
-			for i := 0; i < bits; i++ {
-				in[fmt.Sprintf("a%d", i)] = a>>uint(i)&1 == 1
-				in[fmt.Sprintf("b%d", i)] = b>>uint(i)&1 == 1
-			}
-			return in
-		}
-		mask := uint64(1)<<uint(bits) - 1
-		trs := []mtcmos.Transition{
-			{Old: vec(false, 0, 0), New: vec(true, mask, mask), Label: "switch branch"},
-			{Old: vec(false, mask, mask), New: vec(false, 0, mask), Label: "A falls"},
-		}
-		for i := 0; i < nvec; i++ {
-			trs = append(trs, mtcmos.Transition{
-				Old:   vec(rng.Intn(2) == 1, rng.Uint64()&mask, rng.Uint64()&mask),
-				New:   vec(rng.Intn(2) == 1, rng.Uint64()&mask, rng.Uint64()&mask),
-				Label: fmt.Sprintf("rand%d", i),
-			})
-		}
-		return c, mtcmos.SizingConfig{}, trs, nil
+		s, r := circuits.PaperSelect(n), operand(n)
+		sel := func() bool { return rng.Intn(2) == 1 }
+		return s.Circuit, none, random(s.Pairs()[:2], // switch branch, A falls
+			func() mtcmos.Transition {
+				return mtcmos.Transition{Old: s.Inputs(sel(), r(), r()), New: s.Inputs(sel(), r(), r())}
+			}), nil
 	default:
-		return nil, mtcmos.SizingConfig{}, nil, fmt.Errorf("unknown circuit %q (tree|adder|mult|select)", kind)
+		return nil, none, nil, fmt.Errorf("unknown circuit %q (tree|adder|mult|select)", kind)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/core"
 	"mtcmos/internal/report"
 )
@@ -12,6 +13,7 @@ import (
 // accuracy can be improved significantly."
 func Accuracy(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
+	rise := circuits.InputEdge(false, true).Stimulus()
 	out := &Output{ID: "accuracy", Title: "Sec. 5.3 extension: input-slope and triode corrections"}
 
 	variants := []struct {
@@ -31,11 +33,11 @@ func Accuracy(cfg Config) (*Output, error) {
 	s := report.NewSeries("Tree worst delay vs W/L under model refinements", "W/L", cols...)
 
 	for _, wl := range []float64{5, 8, 14, 20} {
-		c, _ := paperTree()
+		c := circuits.PaperTree()
 		c.SleepWL = wl
 		ds := make([]float64, len(variants))
 		for vi, v := range variants {
-			d, _, err := vbsDelay(cfg, c, treeStim(), v.opts)
+			d, _, err := vbsDelay(cfg, c, rise, v.opts)
 			if err != nil {
 				return nil, err
 			}
@@ -43,7 +45,7 @@ func Accuracy(cfg Config) (*Output, error) {
 		}
 		row := []float64{ds[0] * 1e9, ds[1] * 1e9, ds[2] * 1e9, ds[3] * 1e9}
 		if !cfg.Fast {
-			ref, _, err := spiceDelay(cfg, c, treeStim(), spiceHorizon(treeStim().TEdge, ds[0]))
+			ref, _, err := spiceDelay(cfg, c, rise, spiceHorizon(ds[0]))
 			if err != nil {
 				return nil, err
 			}

@@ -16,15 +16,6 @@ import (
 
 const adderTStop = 20e-9
 
-// adderStim builds the stimulus for an operand-pair transition.
-func adderStim(ad *circuits.Adder, oa, ob, na, nb uint64) circuit.Stimulus {
-	return circuit.Stimulus{
-		Old:   ad.Inputs(oa, ob, false),
-		New:   ad.Inputs(na, nb, false),
-		TEdge: 1e-9, TRise: 50e-12,
-	}
-}
-
 // fig13WLs is the sleep-size sweep for the adder comparison.
 var fig13WLs = []float64{2, 4, 6, 8, 10, 14, 18, 24, 30}
 
@@ -34,8 +25,8 @@ var fig13WLs = []float64{2, 4, 6, 8, 10, 14, 18, 24, 30}
 func Fig13(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "fig13", Title: "Fig. 13: 3-bit adder delay vs W/L"}
-	ad := paperAdder(cfg.AdderBits)
-	stim := adderStim(ad, 0, 1, 6, 5)
+	ad := circuits.PaperAdder(cfg.AdderBits)
+	stim := ad.Pair(0, 1, 6, 5).Stimulus()
 
 	cols := []string{"vbs_ns"}
 	if !cfg.Fast {
@@ -64,7 +55,7 @@ func Fig13(cfg Config) (*Output, error) {
 		if cfg.Fast {
 			return point{dv: dv}, nil
 		}
-		own := paperAdder(cfg.AdderBits)
+		own := circuits.PaperAdder(cfg.AdderBits)
 		own.SleepWL = wl
 		ds, _, err := spiceDelay(cfg, own.Circuit, stim, adderTStop)
 		if err != nil {
@@ -141,7 +132,7 @@ func Fig14(cfg Config) (*Output, error) {
 		deg            float64
 		ok             bool // toggles S2 and has a measurable baseline delay
 	}
-	ad := paperAdder(cfg.AdderBits)
+	ad := circuits.PaperAdder(cfg.AdderBits)
 	outs := ad.Circuit.OutputNames()
 	s2 := fmt.Sprintf("s%d", cfg.AdderBits-1)
 	cp, err := core.Compile(ad.Circuit)
@@ -159,7 +150,7 @@ func Fig14(cfg Config) (*Output, error) {
 			return c, nil
 		}
 		var err error
-		c.deg, c.ok, err = degVBS(cfg, cp, adderStim(ad, c.oa, c.ob, c.na, c.nb), wl, outs)
+		c.deg, c.ok, err = degVBS(cfg, cp, ad.Pair(c.oa, c.ob, c.na, c.nb).Stimulus(), wl, outs)
 		return c, err
 	})
 	if err != nil {
@@ -209,8 +200,8 @@ func Fig14(cfg Config) (*Output, error) {
 		refPts, err := sched.Map(cfg.Ctx, cfg.Workers, nSpice, func(k int) (refPt, error) {
 			i := k * (len(cands) - 1) / max(1, nSpice-1)
 			cd := cands[i]
-			own := paperAdder(cfg.AdderBits)
-			stim := adderStim(own, cd.oa, cd.ob, cd.na, cd.nb)
+			own := circuits.PaperAdder(cfg.AdderBits)
+			stim := own.Pair(cd.oa, cd.ob, cd.na, cd.nb).Stimulus()
 			own.SleepWL = 0
 			b, _, err := spiceDelay(cfg, own.Circuit, stim, adderTStop)
 			if err != nil {
@@ -244,7 +235,7 @@ func Fig14(cfg Config) (*Output, error) {
 func Speedup(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "speedup", Title: "Sec. 6.2: exhaustive-sweep runtime comparison"}
-	ad := paperAdder(cfg.AdderBits)
+	ad := circuits.PaperAdder(cfg.AdderBits)
 	ad.SleepWL = 10
 	space := adderSpace(cfg.AdderBits)
 	half := uint64(1) << uint(cfg.AdderBits)
@@ -261,7 +252,7 @@ func Speedup(cfg Config) (*Output, error) {
 	}
 	_, err = sched.Map(cfg.Ctx, cfg.Workers, n, func(k int) (struct{}, error) {
 		o, w := uint64(k)/size, uint64(k)%size
-		_, err := cp.Run(adderStim(ad, o%half, o/half, w%half, w/half), cfg.simOpts(core.Options{}))
+		_, err := cp.Run(ad.Pair(o%half, o/half, w%half, w/half).Stimulus(), cfg.simOpts(core.Options{}))
 		return struct{}{}, err
 	})
 	if err != nil {
@@ -298,7 +289,7 @@ func Speedup(cfg Config) (*Output, error) {
 			if !toggles {
 				continue
 			}
-			stims = append(stims, adderStim(ad, o%half, o/half, w%half, w/half))
+			stims = append(stims, ad.Pair(o%half, o/half, w%half, w/half).Stimulus())
 		}
 		start = time.Now()
 		for _, stim := range stims {
@@ -323,13 +314,13 @@ func Speedup(cfg Config) (*Output, error) {
 func AblationReverse(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "reverse", Title: "Sec. 2.3 ablation: reverse conduction"}
-	ad := paperAdder(cfg.AdderBits)
+	ad := circuits.PaperAdder(cfg.AdderBits)
 	outs := ad.Circuit.OutputNames()
 	tb := report.NewTable("Reverse conduction on the 3-bit adder (worst vector (0,0)->(7,1))",
 		"W/L", "delay_ns", "delay_rc_ns", "speedup_pct", "noise_margin_loss_mV")
 	for _, wl := range []float64{4, 8, 16} {
 		ad.SleepWL = wl
-		stim := adderStim(ad, 0, 0, 7, 1)
+		stim := ad.Pair(0, 0, 7, 1).Stimulus()
 		plain, err := core.Simulate(ad.Circuit, stim, cfg.simOpts(core.Options{}))
 		if err != nil {
 			return nil, err

@@ -14,7 +14,6 @@ import (
 	"mtcmos/internal/circuit"
 	"mtcmos/internal/circuits"
 	"mtcmos/internal/core"
-	"mtcmos/internal/mosfet"
 	"mtcmos/internal/report"
 	"mtcmos/internal/sizing"
 	"mtcmos/internal/spice"
@@ -73,10 +72,10 @@ func (c Config) sizingCfg(outputs []string) sizing.Config {
 
 func (c Config) withDefaults() Config {
 	if c.MultiplierBits == 0 {
-		c.MultiplierBits = 8
+		c.MultiplierBits = circuits.DefaultMultiplierBits
 	}
 	if c.AdderBits == 0 {
-		c.AdderBits = 3
+		c.AdderBits = circuits.DefaultAdderBits
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -107,7 +106,8 @@ type Experiment struct {
 
 // Registry lists every experiment in paper order. Each runner first
 // checks MultiplierBits and AdderBits against the generators' minimums
-// (circuits.Min*), so a bad width is an error, not a generator panic.
+// (circuits.Min*) and refuses a negative SpiceVectors, so a bad
+// setting is an error, not a panic.
 func Registry() []Experiment {
 	reg := []Experiment{
 		{"fig5", "inverter-tree output and virtual-ground transients vs sleep W/L", Fig5, "Fig. 5"},
@@ -137,6 +137,7 @@ func Registry() []Experiment {
 			if err := errors.Join(
 				circuits.CheckWidth("MultiplierBits", cfg.MultiplierBits, circuits.MinMultiplierBits),
 				circuits.CheckWidth("AdderBits", cfg.AdderBits, circuits.MinAdderBits),
+				checkSpiceVectors(cfg.SpiceVectors),
 			); err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}
@@ -165,35 +166,15 @@ func ids() string {
 	return fmt.Sprint(s)
 }
 
-// --- shared circuit builders and measurement helpers ---
+// --- shared measurement helpers ---
 
-// paperTree builds the Fig. 4 inverter tree (1-3-9, 50 fF leaf loads)
-// in the 0.7um technology.
-func paperTree() (*circuit.Circuit, *mosfet.Tech) {
-	tech := mosfet.Tech07()
-	c := circuits.InverterTree(&tech, 3, 3, 50e-15)
-	return c, c.Tech
-}
-
-// paperAdder builds the Fig. 12 mirror ripple-carry adder.
-func paperAdder(bits int) *circuits.Adder {
-	tech := mosfet.Tech07()
-	return circuits.RippleCarryAdder(&tech, bits, 20e-15)
-}
-
-// paperMultiplier builds the Fig. 6 carry-save multiplier in the 0.3um
-// technology.
-func paperMultiplier(bits int) *circuits.Multiplier {
-	tech := mosfet.Tech03()
-	return circuits.CarrySaveMultiplier(&tech, bits, 15e-15)
-}
-
-func treeStim() circuit.Stimulus {
-	return circuit.Stimulus{
-		Old:   map[string]bool{"in": false},
-		New:   map[string]bool{"in": true},
-		TEdge: 1e-9, TRise: 50e-12,
+// checkSpiceVectors refuses a negative reference-engine vector budget;
+// 0 stands for the per-experiment default.
+func checkSpiceVectors(v int) error {
+	if v < 0 {
+		return fmt.Errorf("SpiceVectors %d: the vector count must be at least 0 (0 = default)", v)
 	}
+	return nil
 }
 
 // vbsDelay measures the worst settling delay over the outputs with the
@@ -221,13 +202,4 @@ func spiceDelay(cfg Config, c *circuit.Circuit, stim circuit.Stimulus, tstop flo
 	}
 	d, _, err := res.MaxDelay(c.OutputNames())
 	return d, res, err
-}
-
-// paperSelect builds the N-bit decoded-select datapath used by the
-// mutual-exclusion refinement experiment: its two branches are enabled
-// by complementary selects, so cross-branch discharges are provably
-// exclusive (DESIGN.md §11).
-func paperSelect(bits int) *circuit.Circuit {
-	tech := mosfet.Tech07()
-	return circuits.SelectTree(&tech, bits, 20e-15)
 }

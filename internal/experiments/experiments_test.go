@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/simerr"
 )
 
@@ -241,18 +243,17 @@ func TestAblationBodyFast(t *testing.T) {
 }
 
 func TestVectorConstantsMatchPaper(t *testing.T) {
-	ox, oy, nx, ny := vectorA(8)
-	if ox != 0 || oy != 0 || nx != 0xFF || ny != 0x81 {
-		t.Errorf("vector A = (%x,%x)->(%x,%x)", ox, oy, nx, ny)
+	m := circuits.PaperMultiplier(8)
+	if a, want := m.VectorA(), m.Pair(0, 0, 0xFF, 0x81); !reflect.DeepEqual(a.Old, want.Old) || !reflect.DeepEqual(a.New, want.New) {
+		t.Errorf("vector A = %v -> %v, want (0,0)->(FF,81)", a.Old, a.New)
 	}
-	ox, oy, nx, ny = vectorB(8)
-	if ox != 0x7F || oy != 0x81 || nx != 0xFF || ny != 0x81 {
-		t.Errorf("vector B = (%x,%x)->(%x,%x)", ox, oy, nx, ny)
+	if b, want := m.VectorB(), m.Pair(0x7F, 0x81, 0xFF, 0x81); !reflect.DeepEqual(b.Old, want.Old) || !reflect.DeepEqual(b.New, want.New) {
+		t.Errorf("vector B = %v -> %v, want (7F,81)->(FF,81)", b.Old, b.New)
 	}
 }
 
 func TestWorstVectorSearch(t *testing.T) {
-	m := paperMultiplier(4)
+	m := circuits.PaperMultiplier(4)
 	best, err := WorstVectorSearch(m, 20, 2, 3, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"mtcmos/internal/circuits"
 	"mtcmos/internal/core"
 	"mtcmos/internal/hierarchy"
-	"mtcmos/internal/mosfet"
 	"mtcmos/internal/report"
 )
 
@@ -29,37 +28,30 @@ func Hier(cfg Config) (*Output, error) {
 		name   string
 		c      *circuit.Circuit
 		blocks [][]int
-		trs    []hierarchy.Transition
+		trs    []circuit.Transition
 	}
 	var jobs []job
 
 	// Inverter chain: strictly sequential discharge, the textbook
 	// mutual-exclusion case.
-	chainTech := mosfet.Tech07()
-	chain := circuits.InverterChain(&chainTech, 12, 20e-15)
+	chain := circuits.PaperChain(12)
 	chainBlocks, err := hierarchy.PartitionByLevel(chain, 6)
 	if err != nil {
 		return nil, err
 	}
-	jobs = append(jobs, job{"inverter chain x12", chain, chainBlocks,
-		[]hierarchy.Transition{
-			{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
-			{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
-		}})
+	jobs = append(jobs, job{"inverter chain x12", chain, chainBlocks, circuits.InverterEdges()})
 
 	// Ripple adder partitioned per full adder: the carry chain
 	// staggers windows, partial-product-style input flips overlap.
-	ad := paperAdder(cfg.AdderBits + 1)
+	ad := circuits.PaperAdder(cfg.AdderBits + 1)
 	adBlocks := hierarchy.PartitionByPrefix(ad.Circuit, func(name string) string {
 		return strings.SplitN(name, "_", 2)[0]
 	})
-	mask := uint64(1)<<uint(cfg.AdderBits+1) - 1
-	jobs = append(jobs, job{fmt.Sprintf("%d-bit adder", cfg.AdderBits+1), ad.Circuit, adBlocks,
-		[]hierarchy.Transition{
-			{Old: ad.Inputs(0, 0, false), New: ad.Inputs(mask, 1, false), Label: "ripple"},
-			{Old: ad.Inputs(0, 0, false), New: ad.Inputs(mask, mask, false), Label: "all-on"},
-			{Old: ad.Inputs(mask/2, mask/2+1, false), New: ad.Inputs(mask, 0, false), Label: "mixed"},
-		}})
+	mask := uint64(1)<<uint(ad.Bits) - 1
+	mixed := ad.Pair(mask/2, mask/2+1, mask, 0)
+	mixed.Label = "mixed"
+	jobs = append(jobs, job{fmt.Sprintf("%d-bit adder", ad.Bits), ad.Circuit, adBlocks,
+		[]circuit.Transition{ad.CarryRipple(), ad.AllOn(), mixed}})
 
 	for _, j := range jobs {
 		hcfg := hierarchy.Config{Blocks: j.blocks, MaxBounce: 0.05, Sim: cfg.simOpts(core.Options{})}
@@ -80,9 +72,7 @@ func Hier(cfg Config) (*Output, error) {
 			return nil, err
 		}
 		tr := j.trs[0]
-		res, err := core.Simulate(j.c, circuit.Stimulus{
-			Old: tr.Old, New: tr.New, TEdge: 1e-9, TRise: 50e-12,
-		}, cfg.simOpts(core.Options{}))
+		res, err := core.Simulate(j.c, tr.Stimulus(), cfg.simOpts(core.Options{}))
 		if err != nil {
 			return nil, err
 		}

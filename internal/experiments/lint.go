@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mtcmos/internal/circuit"
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/lint"
 	"mtcmos/internal/report"
 )
@@ -24,26 +25,16 @@ func LintAudit(cfg Config) (*Output, error) {
 		c    *circuit.Circuit
 		stim circuit.Stimulus
 	}
-	tree, _ := paperTree()
+	tree := circuits.PaperTree()
 	tree.SleepWL = 8
-	ad := paperAdder(cfg.AdderBits)
-	ad.Circuit.SleepWL = 10
-	admask := uint64(1)<<uint(cfg.AdderBits) - 1
-	mult := paperMultiplier(cfg.MultiplierBits)
-	mult.Circuit.SleepWL = 170
-	mmask := uint64(1)<<uint(cfg.MultiplierBits) - 1
-	edge := circuit.Stimulus{TEdge: 1e-9, TRise: 50e-12}
-
-	treeStim := treeStim()
-	adderStim := edge
-	adderStim.Old, adderStim.New = ad.Inputs(0, 0, false), ad.Inputs(admask, 1, false)
-	multStim := edge
-	multStim.Old, multStim.New = mult.Inputs(0, 0), mult.Inputs(mmask, (1|1<<uint(cfg.MultiplierBits-1))&mmask)
-
+	ad := circuits.PaperAdder(cfg.AdderBits)
+	ad.SleepWL = 10
+	mult := circuits.PaperMultiplier(cfg.MultiplierBits)
+	mult.SleepWL = 170
 	benches := []bench{
-		{"tree", tree, treeStim},
-		{fmt.Sprintf("adder%d", cfg.AdderBits), ad.Circuit, adderStim},
-		{fmt.Sprintf("mult%dx%d", cfg.MultiplierBits, cfg.MultiplierBits), mult.Circuit, multStim},
+		{"tree", tree, circuits.InputEdge(false, true).Stimulus()},
+		{fmt.Sprintf("adder%d", cfg.AdderBits), ad.Circuit, ad.CarryRipple().Stimulus()},
+		{fmt.Sprintf("mult%dx%d", cfg.MultiplierBits, cfg.MultiplierBits), mult.Circuit, mult.VectorA().Stimulus()},
 	}
 
 	tb := report.NewTable("lint audit", "circuit", "gates", "devices", "errors", "warnings", "infos")

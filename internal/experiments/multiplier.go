@@ -13,45 +13,6 @@ import (
 	"mtcmos/internal/vectors"
 )
 
-// The paper's two 8x8 multiplier vectors (section 4 / Fig. 7):
-//
-//	A (larger currents):  X: 00->FF, Y: 00->81
-//	B (smaller currents): X: 7F->FF, Y: 81->81
-//
-// A flips every partial-product row at once; B ripples. For an N-bit
-// instance the constants are scaled to the same bit patterns.
-func vectorA(n int) (ox, oy, nx, ny uint64) {
-	mask := uint64(1)<<uint(n) - 1
-	return 0, 0, mask, (1 | 1<<uint(n-1)) & mask
-}
-
-func vectorB(n int) (ox, oy, nx, ny uint64) {
-	mask := uint64(1)<<uint(n) - 1
-	y := (1 | 1<<uint(n-1)) & mask
-	return mask >> 1, y, mask, y
-}
-
-func multStim(m *circuits.Multiplier, ox, oy, nx, ny uint64) circuit.Stimulus {
-	return circuit.Stimulus{
-		Old:   m.Inputs(ox, oy),
-		New:   m.Inputs(nx, ny),
-		TEdge: 1e-9, TRise: 50e-12,
-	}
-}
-
-// multDelay is the worst settling delay over the product bits.
-func multDelay(cfg Config, m *circuits.Multiplier, stim circuit.Stimulus) (float64, *core.Result, error) {
-	res, err := core.Simulate(m.Circuit, stim, cfg.simOpts(core.Options{}))
-	if err != nil {
-		return 0, nil, err
-	}
-	d, _, ok := res.MaxDelay(m.ProductNets)
-	if !ok {
-		return 0, res, fmt.Errorf("experiments: no product bit toggled")
-	}
-	return d, res, nil
-}
-
 // fig7WLs sweeps the paper's Fig. 7 x-axis range.
 var fig7WLs = []float64{20, 40, 60, 90, 130, 170, 230, 300, 400, 500}
 
@@ -60,11 +21,8 @@ var fig7WLs = []float64{20, 40, 60, 90, 130, 170, 230, 300, 400, 500}
 func Fig7(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "fig7", Title: "Fig. 7: multiplier delay vs W/L for two vectors"}
-	m := paperMultiplier(cfg.MultiplierBits)
-	oa, ob, na, nb := vectorA(cfg.MultiplierBits)
-	stimA := multStim(m, oa, ob, na, nb)
-	oa, ob, na, nb = vectorB(cfg.MultiplierBits)
-	stimB := multStim(m, oa, ob, na, nb)
+	m := circuits.PaperMultiplier(cfg.MultiplierBits)
+	stimA, stimB := m.VectorA().Stimulus(), m.VectorB().Stimulus()
 
 	// One compiled engine serves the whole sweep; the W/L axis and the
 	// CMOS baselines (wl=0) are per-run overrides fanned out on the
@@ -116,19 +74,8 @@ func Fig7(cfg Config) (*Output, error) {
 func Table1(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "table1", Title: "Table 1: degradation vs W/L and the 5% sizing trap"}
-	m := paperMultiplier(cfg.MultiplierBits)
-	n := cfg.MultiplierBits
-
-	mk := func(f func(int) (uint64, uint64, uint64, uint64), label string) sizing.Transition {
-		oa, ob, na, nb := f(n)
-		return sizing.Transition{
-			Old:   m.Inputs(oa, ob),
-			New:   m.Inputs(na, nb),
-			Label: label,
-		}
-	}
-	trA := mk(vectorA, "A")
-	trB := mk(vectorB, "B")
+	m := circuits.PaperMultiplier(cfg.MultiplierBits)
+	trA, trB := m.VectorA(), m.VectorB()
 	cfgS := cfg.sizingCfg(m.ProductNets)
 
 	// The 3x2 degradation grid fans out on the executor: each cell is
@@ -180,10 +127,8 @@ func Table1(cfg Config) (*Output, error) {
 func Peak(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "peak", Title: "Sec. 4: peak-current vs delay-target sizing"}
-	m := paperMultiplier(cfg.MultiplierBits)
-	n := cfg.MultiplierBits
-	oa, ob, na, nb := vectorA(n)
-	trA := sizing.Transition{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}
+	m := circuits.PaperMultiplier(cfg.MultiplierBits)
+	trA := m.VectorA()
 	cfgS := cfg.sizingCfg(m.ProductNets)
 
 	// Paper: 50mV fixed bounce budget gives about 5% degradation.
@@ -217,56 +162,19 @@ func Widths(cfg Config) (*Output, error) {
 	tb := report.NewTable("Sleep W/L by method (5% budget / 50mV bounce)",
 		"circuit", "sum-of-widths", "peak-current", "delay-target", "overdesign")
 
-	add := func(name string, c *circuit.Circuit, cfgS sizing.Config, trs []sizing.Transition) error {
-		sw := sizing.SumOfWidths(c)
-		pk, err := sizing.PeakCurrent(c, cfgS, trs, 0.05)
+	for _, b := range ladderBenches(cfg) {
+		sw := sizing.SumOfWidths(b.c)
+		pk, err := sizing.PeakCurrent(b.c, b.scfg, b.trs, 0.05)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		dt, err := sizing.DelayTarget(c, cfgS, trs, 0.05, 64*sw)
+		dt, err := sizing.DelayTarget(b.c, b.scfg, b.trs, 0.05, 64*sw)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		tb.Addf("%s\t%.0f\t%.0f\t%.0f\t%.1fx / %.1fx",
-			name, sw, pk.WL, dt.WL, sw/dt.WL, pk.WL/dt.WL)
-		return nil
+			b.name, sw, pk.WL, dt.WL, sw/dt.WL, pk.WL/dt.WL)
 	}
-
-	tree, _ := paperTree()
-	treeTrs := []sizing.Transition{
-		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
-		{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
-	}
-	if err := add("inverter tree", tree, cfg.sizingCfg(nil), treeTrs); err != nil {
-		return nil, err
-	}
-
-	ad := paperAdder(cfg.AdderBits)
-	space := adderSpace(cfg.AdderBits)
-	var adTrs []sizing.Transition
-	half := uint64(1) << uint(cfg.AdderBits)
-	// A handful of stressing transitions: all-on, carry ripple, random.
-	picks := [][2]uint64{{0, space.Size() - 1}, {0, half - 1}, {half / 2, space.Size() - 1}}
-	for _, p := range picks {
-		o, w := p[0], p[1]
-		adTrs = append(adTrs, sizing.Transition{
-			Old:   ad.Inputs(o%half, o/half, false),
-			New:   ad.Inputs(w%half, w/half, false),
-			Label: fmt.Sprintf("%d->%d", o, w),
-		})
-	}
-	if err := add("3-bit adder", ad.Circuit, cfg.sizingCfg(nil), adTrs); err != nil {
-		return nil, err
-	}
-
-	m := paperMultiplier(cfg.MultiplierBits)
-	oa, ob, na, nb := vectorA(cfg.MultiplierBits)
-	mTrs := []sizing.Transition{{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}}
-	if err := add(fmt.Sprintf("%dx%d multiplier", cfg.MultiplierBits, cfg.MultiplierBits),
-		m.Circuit, cfg.sizingCfg(m.ProductNets), mTrs); err != nil {
-		return nil, err
-	}
-
 	out.Tables = append(out.Tables, tb)
 	out.note("paper: summing internal widths 'can produce unnecessarily large estimates'; designing for peak current 'too gives overly conservative estimates'")
 	return out, nil
@@ -300,7 +208,7 @@ func WorstVectorSearch(m *circuits.Multiplier, wl float64, restarts int, seed in
 	climbs, _ := sched.Map(nil, workers, restarts, func(r int) (climb, error) {
 		var firstErr error
 		metric := func(o, w uint64) float64 {
-			stim := multStim(m, o%half, o/half, w%half, w/half)
+			stim := m.Pair(o%half, o/half, w%half, w/half).Stimulus()
 			base, err := cp.RunWL(0, stim, core.Options{})
 			if err != nil {
 				if firstErr == nil {

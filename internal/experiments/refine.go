@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/report"
 	"mtcmos/internal/sca"
 	"mtcmos/internal/sizing"
@@ -23,22 +24,9 @@ func Refine(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "refine", Title: "SAT-backed mutual-exclusion refinement of the static level bound"}
 
-	sel := paperSelect(8)
-	selVec := func(s bool, a, b uint64) map[string]bool {
-		in := map[string]bool{"sel": s}
-		for i := 0; i < 8; i++ {
-			in[fmt.Sprintf("a%d", i)] = a>>uint(i)&1 == 1
-			in[fmt.Sprintf("b%d", i)] = b>>uint(i)&1 == 1
-		}
-		return in
-	}
-	selTrs := []sizing.Transition{
-		{Old: selVec(false, 0, 0), New: selVec(true, 0xff, 0xff), Label: "switch branch"},
-		{Old: selVec(false, 0xff, 0xff), New: selVec(false, 0, 0xff), Label: "A falls"},
-		{Old: selVec(true, 0xff, 0xff), New: selVec(true, 0xff, 0), Label: "B falls"},
-	}
-
-	benches := append(ladderBenches(cfg), ladderBench{"8-bit select tree", sel, cfg.sizingCfg(nil), selTrs})
+	sel := circuits.PaperSelect(circuits.DefaultSelectBits)
+	benches := append(ladderBenches(cfg),
+		ladderBench{fmt.Sprintf("%d-bit select tree", sel.Bits), sel.Circuit, cfg.sizingCfg(nil), sel.Pairs()})
 
 	tb := report.NewTable("Bound ladder (W/L units)",
 		"circuit", "gates", "simulated", "refined", "static level", "sum-of-widths", "proven excl", "refinement")

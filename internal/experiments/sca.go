@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mtcmos/internal/circuit"
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/report"
 	"mtcmos/internal/sca"
 	"mtcmos/internal/sizing"
@@ -49,8 +50,7 @@ func SCA(cfg Config) (*Output, error) {
 	t2 := report.NewTable("CCC partition of the expanded decks",
 		"deck", "components", "largest (devices/nets)", "shorts", "floating", "deep")
 	for _, b := range benches {
-		stim := circuit.Stimulus{Old: b.trs[0].Old, New: b.trs[0].New, TEdge: 1e-9, TRise: 50e-12}
-		nl, err := b.c.Netlist(stim)
+		nl, err := b.c.Netlist(b.trs[0].Stimulus())
 		if err != nil {
 			return nil, fmt.Errorf("sca: expand %s: %w", b.name, err)
 		}
@@ -86,35 +86,25 @@ type ladderBench struct {
 }
 
 // ladderBenches builds the paper's inverter tree, adder and multiplier
-// with their stressing transitions; refine appends the select tree.
+// with their stressing transitions (widths and refine also use them;
+// refine appends the select tree).
 func ladderBenches(cfg Config) []ladderBench {
-	tree, _ := paperTree()
-	treeTrs := []sizing.Transition{
-		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
-		{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
-	}
-
-	ad := paperAdder(cfg.AdderBits)
+	ad := circuits.PaperAdder(cfg.AdderBits)
 	half := uint64(1) << uint(cfg.AdderBits)
 	space := adderSpace(cfg.AdderBits)
 	var adTrs []sizing.Transition
 	for _, p := range [][2]uint64{{0, space.Size() - 1}, {0, half - 1}, {half / 2, space.Size() - 1}} {
 		o, w := p[0], p[1]
-		adTrs = append(adTrs, sizing.Transition{
-			Old:   ad.Inputs(o%half, o/half, false),
-			New:   ad.Inputs(w%half, w/half, false),
-			Label: fmt.Sprintf("%d->%d", o, w),
-		})
+		tr := ad.Pair(o%half, o/half, w%half, w/half)
+		tr.Label = fmt.Sprintf("%d->%d", o, w)
+		adTrs = append(adTrs, tr)
 	}
 
-	m := paperMultiplier(cfg.MultiplierBits)
-	oa, ob, na, nb := vectorA(cfg.MultiplierBits)
-	mTrs := []sizing.Transition{{Old: m.Inputs(oa, ob), New: m.Inputs(na, nb), Label: "A"}}
-
+	m := circuits.PaperMultiplier(cfg.MultiplierBits)
 	return []ladderBench{
-		{"inverter tree", tree, cfg.sizingCfg(nil), treeTrs},
+		{"inverter tree", circuits.PaperTree(), cfg.sizingCfg(nil), circuits.InverterEdges()},
 		{fmt.Sprintf("%d-bit adder", cfg.AdderBits), ad.Circuit, cfg.sizingCfg(nil), adTrs},
 		{fmt.Sprintf("%dx%d multiplier", cfg.MultiplierBits, cfg.MultiplierBits),
-			m.Circuit, cfg.sizingCfg(m.ProductNets), mTrs},
+			m.Circuit, cfg.sizingCfg(m.ProductNets), []sizing.Transition{m.VectorA()}},
 	}
 }

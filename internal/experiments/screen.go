@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"mtcmos/internal/circuits"
 	"sort"
 
 	"mtcmos/internal/core"
@@ -33,7 +34,7 @@ func Screen(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	out := &Output{ID: "screen", Title: "Sec. 5/7: narrowing the vector space with cheap screens"}
 	const wl = 10.0
-	ad := paperAdder(cfg.AdderBits)
+	ad := circuits.PaperAdder(cfg.AdderBits)
 	outs := ad.Circuit.OutputNames()
 	space := adderSpace(cfg.AdderBits)
 	half := uint64(1) << uint(cfg.AdderBits)
@@ -68,7 +69,7 @@ func Screen(cfg Config) (*Output, error) {
 			// skipping these is part of what the experiment measures.
 			return nil
 		}
-		stim := adderStim(ad, oa, ob, na, nb)
+		stim := ad.Pair(oa, ob, na, nb).Stimulus()
 		deg, ok, err := degVBS(cfg, cp, stim, wl, outs)
 		if err != nil || !ok {
 			return err

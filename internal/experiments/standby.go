@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/power"
 	"mtcmos/internal/report"
 	"mtcmos/internal/spice"
@@ -25,7 +26,7 @@ func StandbyExp(cfg Config) (*Output, error) {
 	s := report.NewSeries("Adder standby analysis vs sleep W/L (reference-engine DC)",
 		"W/L", "vgnd_float_V", "standby_fA", "reduction_x", "analytic_x", "sleep_E_fJ", "breakeven_us")
 	for _, wl := range []float64{5, 20, 80, 320} {
-		ad := paperAdder(bits)
+		ad := circuits.PaperAdder(bits)
 		ad.SleepWL = wl
 		res, err := spice.StandbyContext(cfg.Ctx, ad.Circuit, ad.Inputs(3, 0, false))
 		if err != nil {

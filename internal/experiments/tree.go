@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"mtcmos/internal/circuit"
+	"mtcmos/internal/circuits"
 	"mtcmos/internal/core"
 	"mtcmos/internal/report"
 	"mtcmos/internal/sched"
@@ -19,8 +21,8 @@ const treeTStop = 30e-9
 // reference-engine horizon: the detailed engine shows more slowdown at
 // extreme bounce than the first-order model (paper section 5.3), so
 // give it generous room.
-func spiceHorizon(stim float64, vbs float64) float64 {
-	h := stim + 6*vbs + 3e-9
+func spiceHorizon(vbs float64) float64 {
+	h := circuit.EdgeAt + 6*vbs + 3e-9
 	if h < 10e-9 {
 		h = 10e-9
 	}
@@ -33,6 +35,7 @@ func spiceHorizon(stim float64, vbs float64) float64 {
 // shrinks.
 func Fig5(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
+	rise := circuits.InputEdge(false, true).Stimulus()
 	out := &Output{ID: "fig5", Title: "Fig. 5: inverter tree transients vs sleep W/L"}
 
 	cols := make([]string, len(treeWLs))
@@ -46,10 +49,10 @@ func Fig5(cfg Config) (*Output, error) {
 	samples := 60
 	traces := make([]func(float64) (float64, float64), len(treeWLs))
 	for i, wl := range treeWLs {
-		c, _ := paperTree()
+		c := circuits.PaperTree()
 		c.SleepWL = wl
 		if cfg.Fast {
-			res, err := core.Simulate(c, treeStim(), cfg.simOpts(core.Options{TraceNets: []string{"s3_0"}, TStop: treeTStop}))
+			res, err := core.Simulate(c, rise, cfg.simOpts(core.Options{TraceNets: []string{"s3_0"}, TStop: treeTStop}))
 			if err != nil {
 				return nil, err
 			}
@@ -58,7 +61,7 @@ func Fig5(cfg Config) (*Output, error) {
 			traces[i] = func(t float64) (float64, float64) { return w.At(t), vg.At(t) }
 		} else {
 			engine = "reference engine"
-			res, err := spice.Run(c, treeStim(), spice.RunOptions{
+			res, err := spice.Run(c, rise, spice.RunOptions{
 				Options:    spice.Options{TStop: treeTStop, SampleDT: 20e-12, Ctx: cfg.Ctx},
 				RecordNets: []string{"s3_0"},
 			})
@@ -89,6 +92,7 @@ func Fig5(cfg Config) (*Output, error) {
 // W/L, reference engine vs the switch-level simulator.
 func Fig10(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
+	rise := circuits.InputEdge(false, true).Stimulus()
 	out := &Output{ID: "fig10", Title: "Fig. 10: tree delay vs W/L, reference vs switch-level"}
 	cols := []string{"vbs_ns"}
 	if !cfg.Fast {
@@ -100,16 +104,16 @@ func Fig10(cfg Config) (*Output, error) {
 	// nothing.
 	type point struct{ dv, ds float64 }
 	pts, err := sched.Map(cfg.Ctx, cfg.Workers, len(treeWLs), func(i int) (point, error) {
-		c, _ := paperTree()
+		c := circuits.PaperTree()
 		c.SleepWL = treeWLs[i]
-		dv, _, err := vbsDelay(cfg, c, treeStim(), core.Options{})
+		dv, _, err := vbsDelay(cfg, c, rise, core.Options{})
 		if err != nil {
 			return point{}, err
 		}
 		if cfg.Fast {
 			return point{dv: dv}, nil
 		}
-		ds, _, err := spiceDelay(cfg, c, treeStim(), spiceHorizon(treeStim().TEdge, dv))
+		ds, _, err := spiceDelay(cfg, c, rise, spiceHorizon(dv))
 		if err != nil {
 			return point{}, err
 		}
@@ -136,12 +140,13 @@ func Fig10(cfg Config) (*Output, error) {
 // RC makes the rail slow to recover.
 func Fig11(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
+	rise := circuits.InputEdge(false, true).Stimulus()
 	out := &Output{ID: "fig11", Title: "Fig. 11: ground bounce transient comparison"}
 	const wl = 8.0
 
-	c, _ := paperTree()
+	c := circuits.PaperTree()
 	c.SleepWL = wl
-	vres, err := core.Simulate(c, treeStim(), cfg.simOpts(core.Options{TStop: treeTStop}))
+	vres, err := core.Simulate(c, rise, cfg.simOpts(core.Options{TStop: treeTStop}))
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +155,7 @@ func Fig11(cfg Config) (*Output, error) {
 	var spiceVg func(float64) float64
 	if !cfg.Fast {
 		cols = append(cols, "spice_Vx")
-		sres, err := spice.Run(c, treeStim(), spice.RunOptions{
+		sres, err := spice.Run(c, rise, spice.RunOptions{
 			Options:    spice.Options{TStop: treeTStop, SampleDT: 20e-12, Ctx: cfg.Ctx},
 			RecordNets: []string{"s3_0"},
 		})
@@ -174,10 +179,10 @@ func Fig11(cfg Config) (*Output, error) {
 	// Very-high-resistance case: tiny sleep device with a parasitic Cx
 	// gives a long RC recovery tail (paper: "for the very high
 	// resistance case the virtual ground is very slow in discharging").
-	cHi, _ := paperTree()
+	cHi := circuits.PaperTree()
 	cHi.SleepWL = 0.5
 	cHi.VGndCap = 2e-12
-	hres, err := core.Simulate(cHi, treeStim(), cfg.simOpts(core.Options{TStop: 4 * treeTStop}))
+	hres, err := core.Simulate(cHi, rise, cfg.simOpts(core.Options{TStop: 4 * treeTStop}))
 	if err != nil {
 		return nil, err
 	}
@@ -194,16 +199,17 @@ func Fig11(cfg Config) (*Output, error) {
 // is slow to recover.
 func AblationCx(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
+	rise := circuits.InputEdge(false, true).Stimulus()
 	out := &Output{ID: "cx", Title: "Sec. 2.2 ablation: virtual-ground parasitic capacitance"}
 	const wl = 5.0
 	cxs := []float64{0, 0.1e-12, 0.5e-12, 2e-12, 10e-12, 50e-12}
 	s := report.NewSeries(fmt.Sprintf("Bounce and delay vs Cx at W/L=%g", wl),
 		"Cx_pF", "peakVx_mV", "delay_ns", "recovery_ns")
 	for _, cx := range cxs {
-		c, _ := paperTree()
+		c := circuits.PaperTree()
 		c.SleepWL = wl
 		c.VGndCap = cx
-		d, res, err := vbsDelay(cfg, c, treeStim(), core.Options{})
+		d, res, err := vbsDelay(cfg, c, rise, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -224,6 +230,7 @@ func AblationCx(cfg Config) (*Output, error) {
 // switch-level model, vs the reference engine.
 func AblationBody(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
+	rise := circuits.InputEdge(false, true).Stimulus()
 	out := &Output{ID: "body", Title: "Sec. 5.3 ablation: body effect in the switch-level model"}
 	cols := []string{"vbs_body_ns", "vbs_nobody_ns"}
 	if !cfg.Fast {
@@ -231,13 +238,13 @@ func AblationBody(cfg Config) (*Output, error) {
 	}
 	s := report.NewSeries("Tree worst delay vs W/L with and without body effect", "W/L", cols...)
 	for _, wl := range []float64{2, 5, 8, 14, 20} {
-		c, _ := paperTree()
+		c := circuits.PaperTree()
 		c.SleepWL = wl
-		dBody, _, err := vbsDelay(cfg, c, treeStim(), core.Options{})
+		dBody, _, err := vbsDelay(cfg, c, rise, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		dNoBody, _, err := vbsDelay(cfg, c, treeStim(), core.Options{NoBodyEffect: true})
+		dNoBody, _, err := vbsDelay(cfg, c, rise, core.Options{NoBodyEffect: true})
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +252,7 @@ func AblationBody(cfg Config) (*Output, error) {
 			s.Add(wl, dBody*1e9, dNoBody*1e9)
 			continue
 		}
-		ds, _, err := spiceDelay(cfg, c, treeStim(), spiceHorizon(treeStim().TEdge, dBody))
+		ds, _, err := spiceDelay(cfg, c, rise, spiceHorizon(dBody))
 		if err != nil {
 			return nil, err
 		}

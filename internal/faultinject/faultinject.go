@@ -132,7 +132,7 @@ func (in *Injector) Intercept(info spice.EvalInfo, ids float64) float64 {
 			if mag == 0 {
 				mag = 1e-3
 			}
-			if info.Sweep%2 == 0 {
+			if info.Iteration%2 == 0 {
 				ids += mag
 			} else {
 				ids -= mag

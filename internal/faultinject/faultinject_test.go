@@ -199,7 +199,7 @@ func TestLadderExhaustedTypedError(t *testing.T) {
 	if se.Node != "out" {
 		t.Errorf("error must name the worst node, got %q", se.Node)
 	}
-	if se.Dt <= 0 || se.Steps == 0 || se.Sweeps == 0 {
+	if se.Dt <= 0 || se.Steps == 0 || se.Iterations == 0 {
 		t.Errorf("diagnostics must be populated: %+v", se)
 	}
 	if res == nil || res.Trace("out").Len() < 2 {
@@ -279,13 +279,13 @@ func TestInjectorScheduling(t *testing.T) {
 
 func TestStuckAlternatesPerSweep(t *testing.T) {
 	inj := New(Fault{Kind: Stuck})
-	if got := inj.Intercept(spice.EvalInfo{Sweep: 0}, 0); got != 1e-3 {
+	if got := inj.Intercept(spice.EvalInfo{Iteration: 0}, 0); got != 1e-3 {
 		t.Errorf("even sweep: got %g", got)
 	}
-	if got := inj.Intercept(spice.EvalInfo{Sweep: 0}, 0); got != 1e-3 {
+	if got := inj.Intercept(spice.EvalInfo{Iteration: 0}, 0); got != 1e-3 {
 		t.Errorf("bias must be stable within a sweep: got %g", got)
 	}
-	if got := inj.Intercept(spice.EvalInfo{Sweep: 1}, 0); got != -1e-3 {
+	if got := inj.Intercept(spice.EvalInfo{Iteration: 1}, 0); got != -1e-3 {
 		t.Errorf("odd sweep: got %g", got)
 	}
 }

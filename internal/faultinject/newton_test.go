@@ -25,8 +25,8 @@ func TestBaselineConvergesSparseNewton(t *testing.T) {
 	if res.Recovery.Rescued != 0 || res.Recovery.Backoffs != 0 {
 		t.Errorf("clean run must not need retries, stats %+v", res.Recovery)
 	}
-	if res.Evals != 2*res.Sweeps {
-		t.Errorf("%d evaluations over %d Newton iterations, want 2 per iteration", res.Evals, res.Sweeps)
+	if res.Evals != 2*res.Iterations {
+		t.Errorf("%d evaluations over %d Newton iterations, want 2 per iteration", res.Evals, res.Iterations)
 	}
 	if v := res.Trace("out").At(2.5e-9); v > 0.6 {
 		t.Errorf("final V(out) = %g, inverter must have switched low", v)

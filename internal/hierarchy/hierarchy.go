@@ -33,12 +33,6 @@ import (
 	"mtcmos/internal/sca"
 )
 
-// Transition is one input-vector pair analyzed for discharge overlap.
-type Transition struct {
-	Old, New map[string]bool
-	Label    string
-}
-
 // Config controls the analysis.
 type Config struct {
 	// Blocks holds gate IDs per block. Use PartitionByLevel or
@@ -48,9 +42,6 @@ type Config struct {
 	// MaxBounce is the virtual-ground budget each group is sized for
 	// (default 50mV, the paper's running figure).
 	MaxBounce float64
-
-	// TEdge/TRise shape the applied edges (defaults 1ns / 50ps).
-	TEdge, TRise float64
 
 	// Sim options forwarded to the switch-level simulator.
 	Sim core.Options
@@ -130,7 +121,7 @@ func PartitionByPrefix(c *circuit.Circuit, fn func(gateName string) string) [][]
 // activity recording, computes per-block discharge requirements and
 // the pairwise overlap relation, greedily merges compatible blocks,
 // and sizes every group for the bounce budget.
-func Analyze(c *circuit.Circuit, cfg Config, trs []Transition) (*Plan, error) {
+func Analyze(c *circuit.Circuit, cfg Config, trs []circuit.Transition) (*Plan, error) {
 	if len(cfg.Blocks) == 0 {
 		return nil, fmt.Errorf("hierarchy: no blocks configured")
 	}
@@ -139,12 +130,6 @@ func Analyze(c *circuit.Circuit, cfg Config, trs []Transition) (*Plan, error) {
 	}
 	if cfg.MaxBounce <= 0 {
 		cfg.MaxBounce = 0.05
-	}
-	if cfg.TEdge <= 0 {
-		cfg.TEdge = 1e-9
-	}
-	if cfg.TRise <= 0 {
-		cfg.TRise = 50e-12
 	}
 	blockOf := make([]int, len(c.Gates))
 	for i := range blockOf {
@@ -197,8 +182,7 @@ func Analyze(c *circuit.Circuit, cfg Config, trs []Transition) (*Plan, error) {
 		// Measure activity in plain-CMOS mode: worst-case current
 		// overlap (a sleep device would spread the windows, which only
 		// reduces instantaneous overlap current).
-		stim := circuit.Stimulus{Old: tr.Old, New: tr.New, TEdge: cfg.TEdge, TRise: cfg.TRise}
-		res, err := cp.RunWL(0, stim, opts)
+		res, err := cp.RunWL(0, tr.Stimulus(), opts)
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy: transition %s: %w", tr.Label, err)
 		}

@@ -14,12 +14,7 @@ import (
 
 func tech07() *mosfet.Tech { t := mosfet.Tech07(); return &t }
 
-func chainTransitions() []Transition {
-	return []Transition{
-		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}, Label: "0->1"},
-		{Old: map[string]bool{"in": true}, New: map[string]bool{"in": false}, Label: "1->0"},
-	}
-}
+func chainTransitions() []circuit.Transition { return circuits.InverterEdges() }
 
 func TestPartitionByLevel(t *testing.T) {
 	c := circuits.InverterChain(tech07(), 8, 20e-15)
@@ -128,7 +123,7 @@ func TestAdderHierarchicalSavings(t *testing.T) {
 	blocks := PartitionByPrefix(ad.Circuit, func(name string) string {
 		return strings.SplitN(name, "_", 2)[0]
 	})
-	trs := []Transition{
+	trs := []circuit.Transition{
 		{Old: ad.Inputs(0, 0, false), New: ad.Inputs(15, 1, false), Label: "ripple"},
 		{Old: ad.Inputs(5, 10, false), New: ad.Inputs(10, 5, false), Label: "swap"},
 		{Old: ad.Inputs(0, 0, false), New: ad.Inputs(15, 15, false), Label: "all-on"},

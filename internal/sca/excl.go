@@ -336,12 +336,12 @@ func expandForExclusion(c *circuit.Circuit) (*Analysis, error) {
 	// Every input switches low→high so each one becomes a PWL source —
 	// a signal rail, i.e. a free SAT variable. The edge timing is
 	// irrelevant: only the deck's topology is analyzed.
-	stim := circuit.Stimulus{Old: map[string]bool{}, New: map[string]bool{}, TEdge: 1e-9, TRise: 50e-12}
+	tr := circuit.Transition{Old: map[string]bool{}, New: map[string]bool{}}
 	for _, in := range c.Inputs {
-		stim.Old[in.Name] = false
-		stim.New[in.Name] = true
+		tr.Old[in.Name] = false
+		tr.New[in.Name] = true
 	}
-	nl, err := c.Netlist(stim)
+	nl, err := c.Netlist(tr.Stimulus())
 	if err != nil {
 		return nil, fmt.Errorf("sca: expand: %w", err)
 	}

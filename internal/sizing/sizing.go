@@ -19,19 +19,15 @@ import (
 	"mtcmos/internal/simerr"
 )
 
-// Transition is an input-vector pair evaluated during sizing.
-type Transition struct {
-	Old, New map[string]bool
-	Label    string
-}
+// Transition is an input-vector pair evaluated during sizing; every
+// transition is applied with the paper's input edge.
+type Transition = circuit.Transition
 
 // Config carries the common sizing inputs.
 type Config struct {
 	// Outputs are the nets whose settling delay defines circuit speed;
 	// nil uses the circuit's marked outputs.
 	Outputs []string
-	// TEdge/TRise shape the applied edges (defaults 1ns / 50ps).
-	TEdge, TRise float64
 	// Sim options forwarded to the switch-level simulator; its Ctx
 	// cancels the whole search and bounds its wall clock (DESIGN.md §8).
 	Sim core.Options
@@ -46,17 +42,7 @@ func (cfg *Config) withDefaults(c *circuit.Circuit) Config {
 	if out.Outputs == nil {
 		out.Outputs = c.OutputNames()
 	}
-	if out.TEdge <= 0 {
-		out.TEdge = 1e-9
-	}
-	if out.TRise <= 0 {
-		out.TRise = 50e-12
-	}
 	return out
-}
-
-func (cfg *Config) stim(tr Transition) circuit.Stimulus {
-	return circuit.Stimulus{Old: tr.Old, New: tr.New, TEdge: cfg.TEdge, TRise: cfg.TRise}
 }
 
 // SumOfWidths returns the naive estimate the paper calls
@@ -78,7 +64,7 @@ type delayOut struct {
 // error, exactly like the serial loop it replaced.
 func delaysOn(cp *core.Compiled, wl float64, cf Config, trs []Transition) (float64, error) {
 	outs, err := sched.Map(cf.Sim.Ctx, cf.Workers, len(trs), func(i int) (delayOut, error) {
-		res, rerr := cp.RunWL(wl, cf.stim(trs[i]), cf.Sim)
+		res, rerr := cp.RunWL(wl, trs[i].Stimulus(), cf.Sim)
 		if rerr != nil {
 			return delayOut{}, fmt.Errorf("sizing: transition %s: %w", trs[i].Label, rerr)
 		}
@@ -129,7 +115,7 @@ func Delays(c *circuit.Circuit, cfg Config, trs []Transition) (float64, error) {
 // reported error are identical to the serial path's.
 func delaysTolerant(cp *core.Compiled, wl float64, cf Config, trs []Transition) (float64, []string, error) {
 	outs, errs := sched.MapAll(cf.Sim.Ctx, cf.Workers, len(trs), func(i int) (delayOut, error) {
-		res, err := cp.RunWL(wl, cf.stim(trs[i]), cf.Sim)
+		res, err := cp.RunWL(wl, trs[i].Stimulus(), cf.Sim)
 		if err != nil {
 			return delayOut{}, err
 		}
@@ -332,7 +318,7 @@ func PeakCurrent(c *circuit.Circuit, cfg Config, trs []Transition, maxBounce flo
 	// effectively ideal ground, but the MTCMOS path still records the
 	// total current through the rail.
 	peaks, err := sched.Map(cf.Sim.Ctx, cf.Workers, len(trs), func(i int) (float64, error) {
-		res, rerr := cp.RunWL(1e7, cf.stim(trs[i]), cf.Sim)
+		res, rerr := cp.RunWL(1e7, trs[i].Stimulus(), cf.Sim)
 		if rerr != nil {
 			return 0, fmt.Errorf("sizing: transition %s: %w", trs[i].Label, rerr)
 		}

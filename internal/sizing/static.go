@@ -114,7 +114,7 @@ func SimultaneousWidth(c *circuit.Circuit, cfg Config, trs []Transition) (float6
 		// Measure in plain-CMOS mode: an undersized sleep device
 		// stretches the discharge windows and would overlap levels that
 		// do not overlap at speed.
-		res, err := cp.RunWL(0, cf.stim(tr), opts)
+		res, err := cp.RunWL(0, tr.Stimulus(), opts)
 		if err != nil {
 			return 0, fmt.Errorf("sizing: transition %s: %w", tr.Label, err)
 		}

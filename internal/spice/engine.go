@@ -90,10 +90,10 @@ type Result struct {
 	// Currents holds the measured node supply currents (positive:
 	// delivered by the node's source into the devices), per
 	// Options.MeasureCurrent.
-	Currents map[string]*wave.Trace
-	Steps    int // accepted timesteps
-	Sweeps   int // total Newton iterations
-	Evals    int // total device evaluations
+	Currents   map[string]*wave.Trace
+	Steps      int // accepted timesteps
+	Iterations int // total Newton iterations
+	Evals      int // total device evaluations
 	// Recovery counts convergence-recovery ladder activity.
 	Recovery RecoveryStats
 }

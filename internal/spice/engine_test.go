@@ -108,7 +108,7 @@ func TestInverterTransient(t *testing.T) {
 	if d <= 0 || d > 2e-9 {
 		t.Errorf("inverter delay = %g", d)
 	}
-	t.Logf("inverter tpdHL = %.3gns, steps=%d sweeps=%d", d*1e9, res.Steps, res.Sweeps)
+	t.Logf("inverter tpdHL = %.3gns, steps=%d iterations=%d", d*1e9, res.Steps, res.Iterations)
 }
 
 func TestInverterRiseAndFallSymmetric(t *testing.T) {

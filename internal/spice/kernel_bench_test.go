@@ -120,7 +120,7 @@ func benchTransient(b *testing.B, tr transition) {
 			b.Fatal(err)
 		}
 		steps += res.Steps
-		iters += res.Sweeps
+		iters += res.Iterations
 		evals += res.Evals
 	}
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")

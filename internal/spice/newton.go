@@ -43,8 +43,8 @@ const (
 // with its node named; a non-finite update of a finite system is an
 // ill-conditioned step, reported as non-converged so the recovery
 // ladder can retry it.
-func (e *Engine) solveNewton(st *runState, a attempt) sweepOut {
-	out := sweepOut{worst: -1}
+func (e *Engine) solveNewton(st *runState, a attempt) solveOut {
+	out := solveOut{worst: -1}
 	if len(e.free) == 0 {
 		out.converged = true
 		return out
@@ -54,8 +54,8 @@ func (e *Engine) solveNewton(st *runState, a attempt) sweepOut {
 	// Per-node step limiter: no update moves a node by more than half
 	// the rail window.
 	lim := 0.5 * (math.Abs(e.tech.Vdd) + 1)
-	for ; out.sweeps < a.maxIter; out.sweeps++ {
-		st.einfo.Sweep = out.sweeps
+	for ; out.iterations < a.maxIter; out.iterations++ {
+		st.einfo.Iteration = out.iterations
 		e.stampSystem(w, vtrial, st.v, a.dt, a.gmin, st)
 		for k, f := range w.rhs {
 			if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -82,7 +82,7 @@ func (e *Engine) solveNewton(st *runState, a attempt) sweepOut {
 		}
 		if maxDelta < vTol {
 			out.converged = true
-			out.sweeps++
+			out.iterations++
 			break
 		}
 	}

@@ -77,11 +77,11 @@ type RecoveryStats struct {
 
 // EvalInfo describes one device evaluation to an Intercept hook.
 type EvalInfo struct {
-	Device string  // netlist device name
-	T      float64 // target time of the step being solved
-	Dt     float64 // timestep being attempted
-	Sweep  int     // Newton iteration index within the attempt
-	Rung   Rung    // active recovery rung (RungNone on the normal path)
+	Device    string  // netlist device name
+	T         float64 // target time of the step being solved
+	Dt        float64 // timestep being attempted
+	Iteration int     // Newton iteration index within the attempt
+	Rung      Rung    // active recovery rung (RungNone on the normal path)
 }
 
 // Intercept observes and may replace every MOS drain-source current the
@@ -128,12 +128,12 @@ type attempt struct {
 	keepSeed bool // keep vtrial from the previous attempt as the seed
 }
 
-// sweepOut reports one step-solve attempt.
-type sweepOut struct {
-	converged bool
-	sweeps    int   // Newton iterations spent
-	worst     int32 // node with the largest final update (diagnostics)
-	nan       bool  // a NaN/Inf voltage appeared at node worst
+// solveOut reports one step-solve attempt.
+type solveOut struct {
+	converged  bool
+	iterations int   // Newton iterations spent
+	worst      int32 // node with the largest final update (diagnostics)
+	nan        bool  // a NaN/Inf voltage appeared at node worst
 }
 
 // stepError builds a classified failure carrying the partial-run
@@ -145,7 +145,7 @@ func (e *Engine) stepError(kind error, st *runState, node int32, t, dt float64, 
 	}
 	return &simerr.Error{
 		Kind: kind, Op: "spice", Node: name, T: t, Dt: dt,
-		Sweeps: st.res.Sweeps, Steps: st.res.Steps, Msg: msg,
+		Iterations: st.res.Iterations, Steps: st.res.Steps, Msg: msg,
 	}
 }
 
@@ -165,7 +165,7 @@ func (e *Engine) checkBudgets(o *Options, st *runState) error {
 // values for t+dt, and runs the Newton step solver. On the normal path
 // the seed extrapolates the last two accepted points; the recovery
 // rungs start from v.
-func (e *Engine) attemptStep(st *runState, a attempt) sweepOut {
+func (e *Engine) attemptStep(st *runState, a attempt) solveOut {
 	switch {
 	case a.keepSeed:
 	case a.rung == RungNone && st.dtPrev > 0:
@@ -221,7 +221,7 @@ func (e *Engine) errRatio(st *runState, dt float64) float64 {
 // and result are updated; otherwise a typed *simerr.Error is returned
 // and the partial result stays valid.
 func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
-	accept := func(a attempt, sweeps int, ratio float64, rescued bool) {
+	accept := func(a attempt, iterations int, ratio float64, rescued bool) {
 		copy(st.vprev, st.v)
 		copy(st.v, st.vtrial)
 		st.t += a.dt
@@ -239,14 +239,14 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		// Ratio 0 (no estimate) doubles the step; error control alone
 		// shrinks it no further than dtFloor.
 		next := math.Max(a.dt*math.Min(2, 0.9/math.Sqrt(ratio)), math.Min(a.dt, dtFloor))
-		if sweeps > 20 {
+		if iterations > 20 {
 			next = math.Max(a.dt/2, o.DTMin)
 		}
 		st.dt = math.Min(next, o.DTMax)
 	}
 
 	// Rung 1: plain attempts with timestep back-off.
-	var last sweepOut
+	var last solveOut
 	rung := RungNone
 	for {
 		if err := e.checkBudgets(o, st); err != nil {
@@ -254,7 +254,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		}
 		a := attempt{dt: dtTry, omega: 1, lambda: 1, maxIter: maxIters, rung: rung}
 		out := e.attemptStep(st, a)
-		st.res.Sweeps += out.sweeps
+		st.res.Iterations += out.iterations
 		if out.nan {
 			return e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
 		}
@@ -264,7 +264,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 				dtTry = math.Max(a.dt*0.9/math.Sqrt(ratio), dtFloor)
 				continue
 			}
-			accept(a, out.sweeps, ratio, false)
+			accept(a, out.iterations, ratio, false)
 			return nil
 		}
 		last = out
@@ -287,13 +287,13 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 	for k := 0; k < dampingLevels; k++ {
 		a := attempt{dt: dtd, omega: omega, lambda: 1, maxIter: 2 * maxIters, rung: RungDamping}
 		out := e.attemptStep(st, a)
-		st.res.Sweeps += out.sweeps
+		st.res.Iterations += out.iterations
 		if out.nan {
 			return e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
 		}
 		if out.converged {
 			st.res.Recovery.Dampings++
-			accept(a, out.sweeps, 0, true)
+			accept(a, out.iterations, 0, true)
 			return nil
 		}
 		last = out
@@ -306,7 +306,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		return err
 	} else if ok {
 		st.res.Recovery.GminSteps++
-		accept(a, out.sweeps, 0, true)
+		accept(a, out.iterations, 0, true)
 		return nil
 	} else if out.worst >= 0 {
 		last = out
@@ -318,7 +318,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 		return err
 	} else if ok {
 		st.res.Recovery.SourceRamps++
-		accept(a, out.sweeps, 0, true)
+		accept(a, out.iterations, 0, true)
 		return nil
 	} else if out.worst >= 0 {
 		last = out
@@ -331,7 +331,7 @@ func (e *Engine) advance(o *Options, st *runState, dtTry float64) error {
 // problems whose converged solutions seed one another. The final
 // problem of the sequence is the physical one, so its solution (when
 // every stage converges) is a legitimate step.
-func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung) (bool, sweepOut, attempt, error) {
+func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung) (bool, solveOut, attempt, error) {
 	var stages []attempt
 	switch rung {
 	case RungGmin:
@@ -344,7 +344,7 @@ func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung) (bool
 			stages = append(stages, attempt{dt: dt, omega: 0.5, lambda: float64(k) / sourceRampSteps, maxIter: 2 * maxIters, rung: rung})
 		}
 	}
-	var out sweepOut
+	var out solveOut
 	var a attempt
 	for i, stage := range stages {
 		if err := e.checkBudgets(o, st); err != nil {
@@ -353,7 +353,7 @@ func (e *Engine) homotopy(o *Options, st *runState, dt float64, rung Rung) (bool
 		stage.keepSeed = i > 0
 		a = stage
 		out = e.attemptStep(st, a)
-		st.res.Sweeps += out.sweeps
+		st.res.Iterations += out.iterations
 		if out.nan {
 			return false, out, a, e.stepError(simerr.ErrNumerical, st, out.worst, st.t+a.dt, a.dt, "NaN/Inf voltage")
 		}

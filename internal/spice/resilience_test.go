@@ -90,7 +90,7 @@ func TestPathologicalDecks(t *testing.T) {
 			if info.T < from || info.Device != "mn" {
 				return ids
 			}
-			if info.Sweep%2 == 0 {
+			if info.Iteration%2 == 0 {
 				return ids + 1e-3
 			}
 			return ids - 1e-3

@@ -34,8 +34,8 @@ func invDeck(t testing.TB, n int) (*netlist.Flat, Options) {
 // traceKey summarizes a run for exact comparison across reuses.
 func traceKey(r *Result) string {
 	tr := r.Trace("out")
-	return fmt.Sprintf("steps=%d sweeps=%d evals=%d final=%.17g len=%d",
-		r.Steps, r.Sweeps, r.Evals, tr.Final(), tr.Len())
+	return fmt.Sprintf("steps=%d iterations=%d evals=%d final=%.17g len=%d",
+		r.Steps, r.Iterations, r.Evals, tr.Final(), tr.Len())
 }
 
 // TestEngineRunReuse proves a compiled engine gives bit-identical

@@ -511,11 +511,13 @@ func RefinedLevelBound(c *Circuit) (float64, error) { return sca.RefinedLevelBou
 
 // --- Sizing ---
 
-// Transition is an input-vector pair evaluated during sizing.
-type Transition = sizing.Transition
+// Transition is an input-vector pair, evaluated by the sizing methods
+// and the hierarchical analysis with the paper's input edge (see
+// Transition.Stimulus).
+type Transition = circuit.Transition
 
-// SizingConfig carries common sizing inputs (observed outputs, edge
-// shape, simulator options). Sim.Ctx cancels the whole search and is
+// SizingConfig carries common sizing inputs (observed outputs,
+// simulator options). Sim.Ctx cancels the whole search and is
 // its wall-clock budget.
 type SizingConfig = sizing.Config
 
@@ -576,17 +578,13 @@ func SimultaneousWidth(c *Circuit, cfg SizingConfig, trs []Transition) (float64,
 // --- Hierarchical sizing (DAC'98 follow-up extension) ---
 
 // HierarchyConfig controls mutual-exclusion analysis: the block
-// partition, bounce budget and edge shape.
+// partition and the bounce budget.
 type HierarchyConfig = hierarchy.Config
 
 // HierarchyPlan is the hierarchical sizing outcome: groups of
 // mutually-exclusive blocks, per-group sleep sizes, and the comparison
 // against single-device and per-block sizing.
 type HierarchyPlan = hierarchy.Plan
-
-// HierarchyTransition is an input-vector pair analyzed for discharge
-// overlap.
-type HierarchyTransition = hierarchy.Transition
 
 // PartitionByLevel groups gates by topological depth into nLevels
 // blocks.
@@ -602,7 +600,7 @@ func PartitionByPrefix(c *Circuit, fn func(gateName string) string) [][]int {
 // AnalyzeHierarchy measures per-block discharge windows with the
 // switch-level simulator, merges blocks with mutually exclusive
 // discharge patterns, and sizes each group's sleep device.
-func AnalyzeHierarchy(c *Circuit, cfg HierarchyConfig, trs []HierarchyTransition) (*HierarchyPlan, error) {
+func AnalyzeHierarchy(c *Circuit, cfg HierarchyConfig, trs []Transition) (*HierarchyPlan, error) {
 	return hierarchy.Analyze(c, cfg, trs)
 }
 

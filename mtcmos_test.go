@@ -145,7 +145,7 @@ func TestFacadeHierarchyAndStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := mtcmos.HierarchyConfig{Blocks: blocks, MaxBounce: 0.05}
-	trs := []mtcmos.HierarchyTransition{
+	trs := []mtcmos.Transition{
 		{Old: map[string]bool{"in": false}, New: map[string]bool{"in": true}},
 	}
 	plan, err := mtcmos.AnalyzeHierarchy(chain, cfg, trs)
@@ -357,8 +357,9 @@ func TestFacadeRefinedBound(t *testing.T) {
 }
 
 // TestRunExperimentRejectsBadWidths: a width below the generator's
-// minimum is an error naming the field, not a panic, in every
-// registered experiment; 0 keeps meaning the default.
+// minimum, or a negative reference-engine vector budget, is an error
+// naming the field, not a panic, in every registered experiment; 0
+// keeps meaning the default.
 func TestRunExperimentRejectsBadWidths(t *testing.T) {
 	for _, e := range mtcmos.Experiments() {
 		for _, c := range []struct {
@@ -367,6 +368,7 @@ func TestRunExperimentRejectsBadWidths(t *testing.T) {
 		}{
 			{mtcmos.ExperimentConfig{Fast: true, MultiplierBits: 1}, "MultiplierBits"},
 			{mtcmos.ExperimentConfig{Fast: true, AdderBits: -1}, "AdderBits"},
+			{mtcmos.ExperimentConfig{Fast: true, SpiceVectors: -1}, "SpiceVectors"},
 		} {
 			out, err := mtcmos.RunExperiment(e.ID, c.cfg)
 			if err == nil || out != nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), "at least") {
