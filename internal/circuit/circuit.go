@@ -275,19 +275,40 @@ func (c *Circuit) Evaluate(inputs map[string]bool) (map[string]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := make(map[string]bool, len(c.netOrder))
+	vals := make([]bool, len(c.netOrder))
 	for _, in := range c.Inputs {
-		vals[in.Name] = inputs[in.Name]
+		vals[in.ID] = inputs[in.Name]
 	}
-	buf := make([]bool, 4)
+	EvalNets(order, vals)
+	out := make(map[string]bool, len(c.netOrder))
+	for _, in := range c.Inputs {
+		out[in.Name] = vals[in.ID]
+	}
 	for _, g := range order {
-		in := buf[:len(g.In)]
-		for i, n := range g.In {
-			in[i] = vals[n.Name]
-		}
-		vals[g.Out.Name] = g.Kind.Eval(in)
+		out[g.Out.Name] = vals[g.Out.ID]
 	}
-	return vals, nil
+	return out, nil
+}
+
+// EvalNets is Evaluate on net indices: given the primary inputs'
+// values in vals (indexed by Net.ID), it sets every gate output's
+// steady-state value, visiting the gates in the topological order
+// that Topo returns.
+func EvalNets(order []*Gate, vals []bool) {
+	buf := make([]bool, MaxArity)
+	for _, g := range order {
+		vals[g.Out.ID] = g.Eval(vals, buf)
+	}
+}
+
+// Eval returns the gate's output for the net values in vals (indexed
+// by Net.ID). buf is scratch space for at least len(g.In) inputs.
+func (g *Gate) Eval(vals, buf []bool) bool {
+	in := buf[:len(g.In)]
+	for i, n := range g.In {
+		in[i] = vals[n.ID]
+	}
+	return g.Kind.Eval(in)
 }
 
 // Stats summarizes the circuit.

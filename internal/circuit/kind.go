@@ -56,6 +56,9 @@ type tmplDev struct {
 	wl      float64 // W/L ratio at Size=1
 }
 
+// MaxArity is the most inputs any library gate takes.
+const MaxArity = 4
+
 // Desc describes a library gate.
 type Desc struct {
 	Name  string

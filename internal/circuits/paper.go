@@ -1,6 +1,8 @@
 package circuits
 
 import (
+	"fmt"
+
 	"mtcmos/internal/circuit"
 	"mtcmos/internal/mosfet"
 )
@@ -67,6 +69,16 @@ func InverterEdges() []circuit.Transition {
 // carry-in grounded.
 func (ad *Adder) Pair(oa, ob, na, nb uint64) circuit.Transition {
 	return circuit.Transition{Old: ad.Inputs(oa, ob, false), New: ad.Inputs(na, nb, false)}
+}
+
+// Operand cuts v to the adder's width, as Inputs does.
+func (ad *Adder) Operand(v uint64) uint64 { return v & ones(ad.Bits) }
+
+// Vector writes the operand pair (a, b) as the paper writes an input
+// vector: a's bits then b's, most significant first, so (0, 1) on the
+// 3-bit adder is 000001.
+func (ad *Adder) Vector(a, b uint64) string {
+	return fmt.Sprintf("%0*b%0*b", ad.Bits, ad.Operand(a), ad.Bits, ad.Operand(b))
 }
 
 // CarryRipple is (0, 0) -> (all ones, 1): a carry born in bit 0

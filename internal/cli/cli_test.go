@@ -36,6 +36,30 @@ func TestExpRunsOneExperimentFast(t *testing.T) {
 	}
 }
 
+// TestExpAdderTitlesFollowWidth: the adder experiments name the width
+// and the vectors they ran, not the paper's 3-bit ones.
+func TestExpAdderTitlesFollowWidth(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Exp([]string{"-e", "reverse,fig13,fig14", "-fast", "-adder", "2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"Reverse conduction on the 2-bit adder (worst vector (0,0)->(3,1))",
+		"Fig. 13: 2-bit adder delay vs W/L",
+		"vector (0001)->(1001)",
+		"Fig. 14: % degradation per vector, 2-bit adder",
+		"S1-toggling vectors",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q", want)
+		}
+	}
+	if strings.Contains(out, "3-bit") {
+		t.Errorf("a 2-bit run still says 3-bit:\n%s", out)
+	}
+}
+
 func TestExpCSVAndPlot(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Exp([]string{"-e", "cx", "-fast", "-csv"}, &buf); err != nil {

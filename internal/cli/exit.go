@@ -84,6 +84,15 @@ func bitsWidth(v, least, def int) (int, error) {
 	return v, nil
 }
 
+// treeBits refuses a nonzero -bits for the tree, whose 1-3-9 shape
+// has no width, as a usage error naming the flag.
+func treeBits(v int) error {
+	if v != 0 {
+		return fmt.Errorf("%w: -bits %d: the tree has a fixed 1-3-9 shape and takes no width", errUsage, v)
+	}
+	return nil
+}
+
 // budgetCtx applies the -timeout flag as a deadline whose cause is a
 // budget error: an overrun classifies as ErrBudget (exit 4), keeping
 // it distinct from a Ctrl-C cancellation (exit 5).

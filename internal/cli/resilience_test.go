@@ -48,10 +48,11 @@ func TestUsageErrorExitCode(t *testing.T) {
 }
 
 // TestOperandWidthIsAUsageError: a width the circuit generators
-// cannot build, a vector that does not fit the circuit, a -tech mtsim
-// cannot apply and a negative reference-engine vector budget are
-// refused before anything runs, as usage errors naming the flag. mtexp,
-// whose main prints no error, also prints it on its output.
+// cannot build or the tree does not take, a vector that does not fit
+// the circuit, a -tech mtsim cannot apply and a negative
+// reference-engine vector budget are refused before anything runs, as
+// usage errors naming the flag. mtexp, whose main prints no error,
+// also prints it on its output.
 func TestOperandWidthIsAUsageError(t *testing.T) {
 	cases := []struct {
 		tool string
@@ -65,6 +66,8 @@ func TestOperandWidthIsAUsageError(t *testing.T) {
 		{"mtsize", Size, []string{"-circuit", "adder", "-bits", "-1"}, "-bits -1: the width must be at least 1"},
 		{"mtsize", Size, []string{"-circuit", "mult", "-bits", "1"}, "-bits 1: the width must be at least 2"},
 		{"mtsize", Size, []string{"-circuit", "select", "-bits", "-1"}, "-bits -1: the width must be at least 1"},
+		{"mtsim", Sim, []string{"-circuit", "tree", "-bits", "5"}, "-bits 5: the tree has a fixed 1-3-9 shape"},
+		{"mtsize", Size, []string{"-circuit", "tree", "-bits", "9", "-estimate", "sum"}, "-bits 9: the tree has a fixed 1-3-9 shape"},
 		{"mtexp", Exp, []string{"-e", "fig7", "-fast", "-mult", "1"}, "-mult 1: the width must be at least 2"},
 		{"mtexp", Exp, []string{"-e", "fig13", "-fast", "-adder", "-1"}, "-adder -1: the width must be at least 1"},
 		{"mtexp", Exp, []string{"-e", "fig14", "-fast", "-spicevectors", "-1"}, "-spicevectors -1: the vector count must be at least 0"},

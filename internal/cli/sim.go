@@ -206,6 +206,9 @@ func buildCircuit(kind string, bits int, oldS, newS string) (*mtcmos.Circuit, mt
 	var none mtcmos.Transition
 	switch kind {
 	case "tree":
+		if err := treeBits(bits); err != nil {
+			return nil, none, nil, err
+		}
 		c := circuits.PaperTree()
 		tr, err := inputEdge(oldS, newS)
 		return c, tr, c.OutputNames(), err

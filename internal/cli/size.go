@@ -197,6 +197,9 @@ func build(kind string, bits, nvec int, seed int64) (*mtcmos.Circuit, mtcmos.Siz
 	var none mtcmos.SizingConfig
 	switch kind {
 	case "tree":
+		if err := treeBits(bits); err != nil {
+			return nil, none, nil, err
+		}
 		return circuits.PaperTree(), none, circuits.InverterEdges(), nil
 	case "adder":
 		n, err := bitsWidth(bits, circuits.MinAdderBits, circuits.DefaultAdderBits)

@@ -30,8 +30,9 @@ type Compiled struct {
 	doms []circuit.Domain // compile-time domain snapshot
 	rs   []float64        // sleep resistance per domain (0 = ideal ground)
 
-	eq  []circuit.EquivGate
-	ipu []float64 // constant pullup current per gate
+	eq    []circuit.EquivGate
+	ipu   []float64       // constant pullup current per gate
+	order []*circuit.Gate // topological order, for the initial evaluation
 
 	kRampN float64 // ramp-averaged NMOS drive factor (InputSlope model)
 	kRampP float64 // ramp-averaged PMOS drive factor
@@ -43,6 +44,10 @@ type Compiled struct {
 // performs every check and derivation Simulate used to repeat per run.
 func Compile(c *circuit.Circuit) (*Compiled, error) {
 	if err := c.Check(); err != nil {
+		return nil, err
+	}
+	order, err := c.Topo()
+	if err != nil {
 		return nil, err
 	}
 	tech := c.Tech
@@ -67,6 +72,7 @@ func Compile(c *circuit.Circuit) (*Compiled, error) {
 		c: c, tech: tech,
 		doms: doms, rs: rs,
 		eq:     c.Equiv(),
+		order:  order,
 		kRampN: rampFactor(tech.Vdd, tech.Vtn, tech.Alpha),
 		kRampP: rampFactor(tech.Vdd, -tech.Vtp, tech.Alpha),
 	}
@@ -140,114 +146,112 @@ func (cp *Compiled) run(doms []circuit.Domain, rs []float64, stim circuit.Stimul
 	defer cp.release(s)
 	s.o = o
 	s.doms, s.rs = doms, rs
-	s.mtcmos, s.anyRelax = false, false
+	s.anyRelax = false
 	for _, d := range doms {
-		if d.SleepWL > 0 {
-			s.mtcmos = true
-			if d.VGndCap > 0 {
-				s.anyRelax = true
-			}
+		if d.SleepWL > 0 && d.VGndCap > 0 {
+			s.anyRelax = true
 		}
 	}
-
-	oldVals, err := cp.c.Evaluate(stim.Old)
-	if err != nil {
-		return nil, err
+	for di := range s.vx {
+		s.vx[di], s.vxSlope[di] = 0, 0
+		s.memo[di].ok = false
 	}
-	s.logic = oldVals
+
+	for _, in := range cp.c.Inputs {
+		s.logic[in.ID] = stim.Old[in.Name]
+	}
+	circuit.EvalNets(cp.order, s.logic)
 	tech := cp.tech
 	for i, g := range cp.c.Gates {
-		lv := s.logic[g.Out.Name]
+		lv := s.logic[g.Out.ID]
 		v := 0.0
 		if lv {
 			v = tech.Vdd
 		}
 		s.st[i] = gateState{v: v, d: idle, logic: lv}
 	}
+	clear(s.active)
 
-	n := len(cp.c.Gates)
 	s.res = &Result{
-		Crossings: map[string][]float64{},
-		Waves:     map[string]*wave.PWL{},
-		TEdge:     stim.TEdge + stim.TRise/2,
+		TEdge:   stim.TEdge + stim.TRise/2,
+		Domains: make([]DomainResult, len(doms)),
 	}
 	if o.RecordActivity {
-		s.res.Activity = make([][]Interval, n)
+		s.res.Activity = make([][]Interval, len(cp.c.Gates))
 		for i := range s.fallStart {
 			s.fallStart[i] = -1
 			s.prevDir[i] = idle
 		}
 	}
 	for _, name := range o.TraceNets {
-		s.traced[name] = true
+		if n := cp.c.FindNet(name); n != nil && s.waves[n.ID] == nil {
+			s.waves[n.ID] = &wave.PWL{}
+		}
 	}
 	for i, g := range cp.c.Gates {
-		s.trace(g.Out.Name, 0, s.st[i].v)
+		s.trace(g.Out.ID, 0, s.st[i].v)
 	}
 	for _, in := range cp.c.Inputs {
 		v := 0.0
-		if s.logic[in.Name] {
+		if s.logic[in.ID] {
 			v = tech.Vdd
 		}
-		s.trace(in.Name, 0, v)
+		s.trace(in.ID, 0, v)
 	}
-	s.res.Domains = make([]DomainResult, len(doms))
-	for di, d := range doms {
-		if d.SleepWL <= 0 {
-			continue
+	for di := range doms {
+		for _, w := range []*wave.PWL{&s.vgnd[di], &s.isleep[di]} {
+			w.T, w.V = w.T[:0], w.V[:0]
+			w.Append(0, 0)
 		}
-		dr := &s.res.Domains[di]
-		dr.VGnd = &wave.PWL{}
-		dr.VGnd.Append(0, 0)
-		dr.ISleep = &wave.PWL{}
-		dr.ISleep.Append(0, 0)
-	}
-	if doms[0].SleepWL > 0 {
-		s.res.VGnd = s.res.Domains[0].VGnd
-		s.res.ISleep = s.res.Domains[0].ISleep
 	}
 
-	res := s.res
-	if err := s.run(stim); err != nil {
-		// Return the partial result alongside the error; it is useful
-		// for diagnosing oscillations.
-		return res, err
-	}
-	return res, nil
+	// A failed run returns its partial Result alongside the error; it
+	// is useful for diagnosing oscillations.
+	err := s.run(stim)
+	s.collect(err == nil)
+	return s.res, err
 }
 
-// lease returns a primed per-run simulator bound to this engine.
+// lease returns a simulator bound to this engine, sized for its
+// circuit; run primes it for each transition.
 func (cp *Compiled) lease() *sim {
 	if v := cp.pool.Get(); v != nil {
-		s := v.(*sim)
-		clear(s.traced)
-		for i := range s.vx {
-			s.vx[i], s.vxSlope[i] = 0, 0
-		}
-		s.tNow = 0
-		return s
+		return v.(*sim)
 	}
-	n := len(cp.c.Gates)
-	nd := len(cp.doms)
-	return &sim{
+	n, nn, nd := len(cp.c.Gates), len(cp.c.Nets()), len(cp.doms)
+	s := &sim{
 		c: cp.c, tech: cp.tech,
 		eq: cp.eq, ipu: cp.ipu,
 		kRampN: cp.kRampN, kRampP: cp.kRampP,
 		st:        make([]gateState, n),
+		active:    make([]uint64, (n+63)/64),
+		logic:     make([]bool, nn),
+		waves:     make([]*wave.PWL, nn),
+		ncr:       make([]int, nn),
+		in:        make([]bool, circuit.MaxArity),
 		vx:        make([]float64, nd),
 		vxSlope:   make([]float64, nd),
+		cur:       make([]float64, n),
+		memo:      make([]eqMemo, nd),
+		vgnd:      make([]wave.PWL, nd),
+		isleep:    make([]wave.PWL, nd),
 		fallStart: make([]float64, n),
 		prevDir:   make([]dir, n),
-		traced:    map[string]bool{},
 	}
+	for di := range s.memo {
+		s.memo[di].cur = make([]float64, n)
+	}
+	return s
 }
 
-// release detaches run-scoped references (the Result escapes to the
-// caller; the logic map is owned by it via Result.Final) and returns
-// the scratch simulator to the pool.
+// release detaches run-scoped references (the Result and its traced
+// waveforms escape to the caller) and returns the scratch simulator to
+// the pool.
 func (cp *Compiled) release(s *sim) {
 	s.res = nil
-	s.logic = nil
+	clear(s.waves)
+	clear(s.ncr)
+	s.xs = s.xs[:0]
 	s.doms, s.rs = nil, nil
 	s.o = Options{}
 	cp.pool.Put(s)

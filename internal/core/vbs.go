@@ -23,6 +23,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"mtcmos/internal/circuit"
@@ -197,7 +199,7 @@ const (
 
 type gateState struct {
 	v     float64
-	slope float64
+	slope float64 // zero while idle
 	d     dir
 	logic bool // output logic level as seen by fanout (v >= Vdd/2)
 
@@ -207,7 +209,24 @@ type gateState struct {
 	rampEnd float64
 }
 
-// sim is the per-run simulator state.
+// crossing is one Vdd/2 crossing of a net (by Net.ID) at time t.
+type crossing struct {
+	net int
+	t   float64
+}
+
+// eqMemo is a domain's last virtual-ground solve. Equilibrium is a
+// pure function of (tech, r, betas, body), and all but betas are fixed
+// for a domain within a run, so a falling set with the same beta list
+// reuses the solve.
+type eqMemo struct {
+	betas, cur []float64
+	vx, itot   float64
+	ok         bool
+}
+
+// sim is the per-run simulator state. Compiled pools it, so every
+// slice here is sized once per engine and reused across runs.
 type sim struct {
 	c    *circuit.Circuit
 	o    Options
@@ -219,18 +238,34 @@ type sim struct {
 	eq  []circuit.EquivGate
 	ipu []float64 // constant pullup current per gate
 
-	st    []gateState
-	logic map[string]bool
+	st []gateState
+	// active holds the non-idle gates as a bitset by gate ID; act lists
+	// them in ascending ID, rebuilt once per event after the retargets.
+	// Visiting gates in ID order keeps every beta sum and the retarget
+	// order independent of how gates entered the set.
+	active []uint64
+	act    []int
 
-	mtcmos   bool      // any domain has a sleep device
+	logic []bool      // per net ID: logic level seen by the fanout
+	waves []*wave.PWL // per net ID: traced waveform, nil if untraced
+	xs    []crossing  // this run's crossings, in event order
+	ncr   []int       // per net ID: crossing count, then slab offset
+	in    []bool      // gate-input scratch for retarget
+
 	vx       []float64 // per-domain virtual-ground voltage
 	vxSlope  []float64 // per-domain dVx/dt; only nonzero in Cx mode
 	anyRelax bool      // some domain has a VGndCap
 
-	betas []float64
-	ids   []int
+	betas    []float64
+	ids      []int
+	cur      []float64 // per-gate currents of the Cx path
+	memo     []eqMemo  // per domain
+	crossers []int
 
-	traced    map[string]bool
+	// vgnd and isleep are each sleep domain's rail waveforms, built
+	// here and copied to exact size into the Result by collect.
+	vgnd, isleep []wave.PWL
+
 	res       *Result
 	fallStart []float64 // per gate, start of current discharge (-1 idle)
 	prevDir   []dir     // per gate, direction at the previous event
@@ -253,16 +288,32 @@ func Simulate(c *circuit.Circuit, stim circuit.Stimulus, opts Options) (*Result,
 	return cp.Run(stim, opts)
 }
 
-func (s *sim) trace(name string, t, v float64) {
-	if !s.traced[name] {
-		return
+func (s *sim) trace(net int, t, v float64) {
+	if w := s.waves[net]; w != nil {
+		w.Append(t, v)
 	}
-	w := s.res.Waves[name]
-	if w == nil {
-		w = &wave.PWL{}
-		s.res.Waves[name] = w
+}
+
+// setDir moves gate i to direction d, keeping the active set and an
+// idle gate's zero slope.
+func (s *sim) setDir(i int, d dir) {
+	s.st[i].d = d
+	if d == idle {
+		s.st[i].slope = 0
+		s.active[i>>6] &^= 1 << (i & 63)
+	} else {
+		s.active[i>>6] |= 1 << (i & 63)
 	}
-	w.Append(t, v)
+}
+
+// listActive rebuilds act from the active bitset.
+func (s *sim) listActive() {
+	s.act = s.act[:0]
+	for w, word := range s.active {
+		for ; word != 0; word &= word - 1 {
+			s.act = append(s.act, w<<6|bits.TrailingZeros64(word))
+		}
+	}
 }
 
 // recompute re-solves every domain's virtual ground over its falling
@@ -281,7 +332,7 @@ func (s *sim) recompute(t float64) {
 		vovN := s.tech.Vdd - s.vx[di] - vt0
 		s.betas = s.betas[:0]
 		s.ids = s.ids[:0]
-		for i := range s.st {
+		for _, i := range s.act {
 			if s.c.Gates[i].Domain != di {
 				continue
 			}
@@ -297,29 +348,27 @@ func (s *sim) recompute(t float64) {
 				s.ids = append(s.ids, i)
 			}
 		}
-		r := s.rs[di]
+		r := s.rs[di] // 0 exactly when the domain has no sleep device
 		cx := s.doms[di].VGndCap
 		mtc := s.doms[di].SleepWL > 0
 
 		var currents []float64
 		var itot float64
-		switch {
-		case !mtc:
-			sol := mosfet.Equilibrium(s.tech, 0, s.betas, false)
-			currents, itot = sol.I, sol.Itotal
-			s.vx[di], s.vxSlope[di] = 0, 0
-		case cx > 0:
+		if mtc && cx > 0 {
 			// Vx is a state: Cx dVx/dt = Itot(Vx) - Vx/R; the drive is
 			// evaluated at the *current* Vx rather than the equilibrium.
-			currents = perGateCurrents(s.tech, s.vx[di], s.betas, body)
-			for _, i := range currents {
-				itot += i
-			}
+			currents = s.cur[:len(s.betas)]
+			itot = mosfet.Currents(s.tech, s.vx[di], s.betas, body, currents)
 			s.vxSlope[di] = (itot - s.vx[di]/r) / cx
-		default:
-			sol := mosfet.Equilibrium(s.tech, r, s.betas, body)
-			s.vx[di], s.vxSlope[di] = sol.Vx, 0
-			currents, itot = sol.I, sol.Itotal
+		} else {
+			m := &s.memo[di]
+			if !m.ok || !slices.Equal(m.betas, s.betas) {
+				m.betas = append(m.betas[:0], s.betas...)
+				m.vx, m.itot = mosfet.Equilibrium(s.tech, r, s.betas, body, m.cur)
+				m.ok = true
+			}
+			currents, itot = m.cur[:len(s.betas)], m.itot
+			s.vx[di], s.vxSlope[di] = m.vx, 0
 		}
 
 		if mtc {
@@ -327,8 +376,8 @@ func (s *sim) recompute(t float64) {
 			if s.vx[di] > dr.PeakVx {
 				dr.PeakVx = s.vx[di]
 			}
-			dr.VGnd.Append(t, s.vx[di])
-			dr.ISleep.Append(t, itot)
+			s.vgnd[di].Append(t, s.vx[di])
+			s.isleep[di].Append(t, itot)
 			if itot > dr.PeakISleep {
 				dr.PeakISleep = itot
 			}
@@ -344,21 +393,19 @@ func (s *sim) recompute(t float64) {
 		}
 	}
 	vovP := s.tech.Vdd + s.tech.Vtp
-	for i := range s.st {
-		switch s.st[i].d {
-		case rising:
-			cl := math.Max(s.eq[i].CL, 1e-18)
-			ip := s.ipu[i]
-			if s.o.InputSlope && t < s.st[i].rampEnd {
-				ip *= s.kRampP
-			}
-			if s.o.Triode {
-				ip *= triodeRatioP(s.st[i].v, s.tech.Vdd, vovP)
-			}
-			s.st[i].slope = ip / cl
-		case idle:
-			s.st[i].slope = 0
+	for _, i := range s.act {
+		if s.st[i].d != rising {
+			continue
 		}
+		cl := math.Max(s.eq[i].CL, 1e-18)
+		ip := s.ipu[i]
+		if s.o.InputSlope && t < s.st[i].rampEnd {
+			ip *= s.kRampP
+		}
+		if s.o.Triode {
+			ip *= triodeRatioP(s.st[i].v, s.tech.Vdd, vovP)
+		}
+		s.st[i].slope = ip / cl
 	}
 }
 
@@ -366,12 +413,7 @@ func (s *sim) recompute(t float64) {
 // reports whether the direction changed.
 func (s *sim) retarget(i int) bool {
 	g := s.c.Gates[i]
-	var inbuf [4]bool
-	in := inbuf[:len(g.In)]
-	for k, net := range g.In {
-		in[k] = s.logic[net.Name]
-	}
-	want := g.Kind.Eval(in)
+	want := g.Eval(s.logic, s.in)
 	var nd dir
 	switch {
 	case want && s.st[i].v >= s.tech.Vdd-1e-12:
@@ -398,7 +440,7 @@ func (s *sim) retarget(i int) bool {
 		}
 	}
 	if nd != s.st[i].d {
-		s.st[i].d = nd
+		s.setDir(i, nd)
 		return true
 	}
 	return false
@@ -414,6 +456,8 @@ const vtol = 1e-9
 // 2.2); extra breakpoints are inserted as needed.
 const maxVxStep = 0.02 // 20 mV
 
+// run is the event loop. Each event costs O(gates in flight): only the
+// active set is scanned for the next breakpoint, advanced and re-sloped.
 func (s *sim) run(stim circuit.Stimulus) error {
 	// railTol snaps voltages to the rails: accumulated floating-point
 	// error in v can otherwise leave a gate a fraction of an ulp short
@@ -431,6 +475,7 @@ func (s *sim) run(stim circuit.Stimulus) error {
 
 	t := 0.0
 	s.tNow = 0
+	s.listActive()
 	s.recompute(0)
 
 	for ev := 0; ; ev++ {
@@ -455,11 +500,8 @@ func (s *sim) run(stim circuit.Stimulus) error {
 			next = tEdge
 		}
 		stalled := false
-		for i := range s.st {
+		for _, i := range s.act {
 			g := &s.st[i]
-			if g.d == idle {
-				continue
-			}
 			if math.Abs(g.slope) < 1e-3 { // below 1 nV/us: stuck
 				stalled = true
 				continue
@@ -553,23 +595,18 @@ func (s *sim) run(stim circuit.Stimulus) error {
 		s.res.Events++
 
 		// Advance active gates; collect threshold crossers.
-		var crossers []int
-		for i := range s.st {
+		s.crossers = s.crossers[:0]
+		for _, i := range s.act {
 			g := &s.st[i]
-			if g.d == idle {
-				continue
-			}
 			g.v += g.slope * dt
 			if g.d == falling && g.v <= railTol {
 				g.v = 0
-				g.d = idle
-				g.slope = 0
+				s.setDir(i, idle)
 			} else if g.d == rising && g.v >= tech.Vdd-railTol {
 				g.v = tech.Vdd
-				g.d = idle
-				g.slope = 0
+				s.setDir(i, idle)
 			}
-			s.trace(s.c.Gates[i].Out.Name, t, g.v)
+			s.trace(s.c.Gates[i].Out.ID, t, g.v)
 			// Logic level with direction-resolved ties: crossing
 			// events land on (or within vtol of) Vdd/2, where the
 			// transition direction decides the new level. No further
@@ -586,7 +623,7 @@ func (s *sim) run(stim circuit.Stimulus) error {
 			}
 			if newLogic != g.logic {
 				g.logic = newLogic
-				crossers = append(crossers, i)
+				s.crossers = append(s.crossers, i)
 			}
 		}
 		// Advance the Vx states in Cx mode.
@@ -604,31 +641,32 @@ func (s *sim) run(stim circuit.Stimulus) error {
 			inputsApplied = true
 			for _, in := range s.c.Inputs {
 				nv := stim.New[in.Name]
-				if s.logic[in.Name] == nv {
+				if s.logic[in.ID] == nv {
 					continue
 				}
-				s.logic[in.Name] = nv
-				s.res.Crossings[in.Name] = append(s.res.Crossings[in.Name], t)
+				s.logic[in.ID] = nv
+				s.xs = append(s.xs, crossing{in.ID, t})
 				v := 0.0
 				if nv {
 					v = tech.Vdd
 				}
-				s.trace(in.Name, t, v)
+				s.trace(in.ID, t, v)
 				for _, ld := range in.Loads {
 					s.retarget(ld.ID)
 				}
 			}
 		}
 		// Propagate crossings to fanout.
-		for _, i := range crossers {
-			g := s.c.Gates[i]
-			s.logic[g.Out.Name] = s.st[i].logic
-			s.res.Crossings[g.Out.Name] = append(s.res.Crossings[g.Out.Name], t)
-			for _, ld := range g.Out.Loads {
+		for _, i := range s.crossers {
+			out := s.c.Gates[i].Out
+			s.logic[out.ID] = s.st[i].logic
+			s.xs = append(s.xs, crossing{out.ID, t})
+			for _, ld := range out.Loads {
 				s.retarget(ld.ID)
 			}
 		}
 
+		s.listActive()
 		s.recompute(t)
 		s.recordActivity(t)
 		s.res.TEnd = t
@@ -638,19 +676,19 @@ func (s *sim) run(stim circuit.Stimulus) error {
 	// tail of the virtual ground (paper section 2.2: a large RC is
 	// slow to discharge back to ground after the transition).
 	for i, g := range s.c.Gates {
-		s.trace(g.Out.Name, t+1e-15, s.st[i].v)
+		s.trace(g.Out.ID, t+1e-15, s.st[i].v)
 	}
 	for di := range s.doms {
-		dr := &s.res.Domains[di]
-		if dr.VGnd == nil {
+		if s.doms[di].SleepWL <= 0 {
 			continue
 		}
-		dr.VGnd.Append(t+1e-15, s.vx[di])
+		vg := &s.vgnd[di]
+		vg.Append(t+1e-15, s.vx[di])
 		cx, r := s.doms[di].VGndCap, s.rs[di]
 		if cx > 0 && s.vx[di] > 1e-6 && r > 0 {
 			tau := r * cx
 			for k := 1; k <= 8; k++ {
-				dr.VGnd.Append(t+float64(k)*tau, s.vx[di]*math.Exp(-float64(k)))
+				vg.Append(t+float64(k)*tau, s.vx[di]*math.Exp(-float64(k)))
 			}
 		}
 	}
@@ -663,11 +701,74 @@ func (s *sim) run(stim circuit.Stimulus) error {
 			}
 		}
 	}
-	for _, v := range s.res.Crossings {
-		sort.Float64s(v)
-	}
-	s.res.Final = s.logic // run-fresh; release hands it over (compiled.go)
 	return nil
+}
+
+// collect builds the Result's waveforms and net-keyed maps from the
+// run's pooled, net-indexed state: each net's crossings are carved from
+// one slab and sorted, and Final (only for a completed run) holds every
+// net's settled level.
+func (s *sim) collect(completed bool) {
+	for di, d := range s.doms {
+		if d.SleepWL > 0 {
+			dr := &s.res.Domains[di]
+			dr.VGnd, dr.ISleep = detach(&s.vgnd[di]), detach(&s.isleep[di])
+		}
+	}
+	if s.doms[0].SleepWL > 0 {
+		s.res.VGnd, s.res.ISleep = s.res.Domains[0].VGnd, s.res.Domains[0].ISleep
+	}
+
+	nets := s.c.Nets()
+	for _, x := range s.xs {
+		s.ncr[x.net]++
+	}
+	crossed, off := 0, 0
+	for id, n := range s.ncr {
+		if n > 0 {
+			crossed++
+		}
+		s.ncr[id] = off
+		off += n
+	}
+	slab := make([]float64, len(s.xs))
+	for _, x := range s.xs {
+		slab[s.ncr[x.net]] = x.t
+		s.ncr[x.net]++
+	}
+	// ncr[id] is now the end of net id's run in the slab, and the
+	// previous net's end is its start.
+	s.res.Crossings = make(map[string][]float64, crossed)
+	start := 0
+	for id, end := range s.ncr {
+		if end > start {
+			ts := slab[start:end:end]
+			sort.Float64s(ts)
+			s.res.Crossings[nets[id].Name] = ts
+		}
+		start = end
+	}
+	s.res.Waves = make(map[string]*wave.PWL, len(s.o.TraceNets))
+	for id, w := range s.waves {
+		if w != nil {
+			s.res.Waves[nets[id].Name] = w
+		}
+	}
+	if completed {
+		s.res.Final = make(map[string]bool, len(nets))
+		for _, n := range nets {
+			s.res.Final[n.Name] = s.logic[n.ID]
+		}
+	}
+}
+
+// detach copies a pooled waveform into one exact-size allocation.
+func detach(p *wave.PWL) *wave.PWL {
+	n := len(p.T)
+	buf := make([]float64, 2*n)
+	copy(buf, p.T)
+	copy(buf[n:], p.V)
+	return &wave.PWL{T: buf[:n:n], V: buf[n:]}
 }
 
 // rampFactor integrates the alpha-power drive over an input ramp from
@@ -774,23 +875,4 @@ func (s *sim) recordActivity(t float64) {
 		}
 		s.prevDir[i] = now
 	}
-}
-
-// perGateCurrents returns the saturation currents of the given
-// pulldowns at virtual-ground voltage vx.
-func perGateCurrents(tech *mosfet.Tech, vx float64, betas []float64, body bool) []float64 {
-	vt := tech.Vtn
-	if body {
-		vt = tech.VtnBody(vx)
-	}
-	out := make([]float64, len(betas))
-	vov := tech.Vdd - vx - vt
-	if vov <= 0 {
-		return out
-	}
-	scale := 0.5 * math.Pow(tech.Vdd, 2-tech.Alpha) * math.Pow(vov, tech.Alpha)
-	for i, b := range betas {
-		out[i] = b * scale
-	}
-	return out
 }

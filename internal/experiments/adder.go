@@ -24,15 +24,15 @@ var fig13WLs = []float64{2, 4, 6, 8, 10, 14, 18, 24, 30}
 // transition (000001) -> (110101), i.e. (a=0,b=1) -> (a=6,b=5).
 func Fig13(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
-	out := &Output{ID: "fig13", Title: "Fig. 13: 3-bit adder delay vs W/L"}
 	ad := circuits.PaperAdder(cfg.AdderBits)
+	out := &Output{ID: "fig13", Title: fmt.Sprintf("Fig. 13: %d-bit adder delay vs W/L", ad.Bits)}
 	stim := ad.Pair(0, 1, 6, 5).Stimulus()
 
 	cols := []string{"vbs_ns"}
 	if !cfg.Fast {
 		cols = append(cols, "spice_ns", "ratio")
 	}
-	s := report.NewSeries("Adder delay vs sleep W/L, vector (000001)->(110101)", "W/L", cols...)
+	s := report.NewSeries(fmt.Sprintf("Adder delay vs sleep W/L, vector (%s)->(%s)", ad.Vector(0, 1), ad.Vector(6, 5)), "W/L", cols...)
 	// The switch-level points share one compiled engine with per-run W/L
 	// overrides; the reference engine compiles its own deck per point,
 	// so each job builds a private adder for it.
@@ -121,7 +121,8 @@ func degVBS(cfg Config, cp *core.Compiled, stim circuit.Stimulus, wl float64, ou
 // every sampled transition.
 func Fig14(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
-	out := &Output{ID: "fig14", Title: "Fig. 14: % degradation per vector, 3-bit adder, W/L=10"}
+	ad := circuits.PaperAdder(cfg.AdderBits)
+	out := &Output{ID: "fig14", Title: fmt.Sprintf("Fig. 14: %% degradation per vector, %d-bit adder, W/L=10", ad.Bits)}
 	const wl = 10.0
 
 	// Measure every ordered pair on one compiled engine. sched.Map
@@ -132,9 +133,9 @@ func Fig14(cfg Config) (*Output, error) {
 		deg            float64
 		ok             bool // toggles S2 and has a measurable baseline delay
 	}
-	ad := circuits.PaperAdder(cfg.AdderBits)
 	outs := ad.Circuit.OutputNames()
-	s2 := fmt.Sprintf("s%d", cfg.AdderBits-1)
+	top := ad.Bits - 1 // the top sum bit, S2 on the paper's adder
+	topNet := fmt.Sprintf("s%d", top)
 	cp, err := core.Compile(ad.Circuit)
 	if err != nil {
 		return nil, err
@@ -146,7 +147,7 @@ func Fig14(cfg Config) (*Output, error) {
 		c := cand{oa: o % half, ob: o / half, na: w % half, nb: w / half}
 		ov, _ := ad.Evaluate(ad.Inputs(c.oa, c.ob, false))
 		nv, _ := ad.Evaluate(ad.Inputs(c.na, c.nb, false))
-		if ov[s2] == nv[s2] {
+		if ov[topNet] == nv[topNet] {
 			return c, nil
 		}
 		var err error
@@ -164,7 +165,7 @@ func Fig14(cfg Config) (*Output, error) {
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].deg > cands[j].deg })
 
-	s := report.NewSeries(fmt.Sprintf("%% degradation due to MTCMOS (W/L=%g), %d S2-toggling vectors, sorted", wl, len(cands)),
+	s := report.NewSeries(fmt.Sprintf("%% degradation due to MTCMOS (W/L=%g), %d S%d-toggling vectors, sorted", wl, len(cands), top),
 		"rank", "vbs_deg_pct")
 	step := 1
 	if len(cands) > 120 {
@@ -316,7 +317,7 @@ func AblationReverse(cfg Config) (*Output, error) {
 	out := &Output{ID: "reverse", Title: "Sec. 2.3 ablation: reverse conduction"}
 	ad := circuits.PaperAdder(cfg.AdderBits)
 	outs := ad.Circuit.OutputNames()
-	tb := report.NewTable("Reverse conduction on the 3-bit adder (worst vector (0,0)->(7,1))",
+	tb := report.NewTable(fmt.Sprintf("Reverse conduction on the %d-bit adder (worst vector (0,0)->(%d,1))", ad.Bits, ad.Operand(7)),
 		"W/L", "delay_ns", "delay_rc_ns", "speedup_pct", "noise_margin_loss_mV")
 	for _, wl := range []float64{4, 8, 16} {
 		ad.SleepWL = wl

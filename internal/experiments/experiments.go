@@ -115,8 +115,8 @@ func Registry() []Experiment {
 		{"table1", "multiplier delay degradation at selected W/L; per-vector 5% sizing", Table1, "Table 1"},
 		{"fig10", "inverter-tree delay vs W/L: reference engine vs switch-level", Fig10, "Fig. 10"},
 		{"fig11", "ground-bounce transient: reference engine vs stepwise switch-level", Fig11, "Fig. 11"},
-		{"fig13", "3-bit adder delay vs W/L: reference engine vs switch-level", Fig13, "Fig. 13"},
-		{"fig14", "per-vector MTCMOS degradation spread on the 3-bit adder", Fig14, "Fig. 14"},
+		{"fig13", fmt.Sprintf("%d-bit adder delay vs W/L: reference engine vs switch-level", circuits.DefaultAdderBits), Fig13, "Fig. 13"},
+		{"fig14", fmt.Sprintf("per-vector MTCMOS degradation spread on the %d-bit adder", circuits.DefaultAdderBits), Fig14, "Fig. 14"},
 		{"speedup", "exhaustive 4096-vector runtime: switch-level vs reference engine", Speedup, "Sec. 6.2"},
 		{"peak", "peak-current sizing vs delay-target sizing on the multiplier", Peak, "Sec. 4"},
 		{"widths", "sum-of-widths vs peak-current vs delay-target sizes", Widths, "Sec. 2"},

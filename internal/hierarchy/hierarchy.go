@@ -166,14 +166,14 @@ func Analyze(c *circuit.Circuit, cfg Config, trs []circuit.Transition) (*Plan, e
 	if err != nil {
 		return nil, err
 	}
-	eq := c.Equiv()
 	// Per-gate discharge current at full drive (the CMOS saturation
 	// current of the equivalent pulldown).
-	igate := make([]float64, len(c.Gates))
-	for i := range c.Gates {
-		sol := mosfet.Equilibrium(c.Tech, 0, []float64{eq[i].BetaN}, false)
-		igate[i] = sol.Itotal
+	betas := make([]float64, len(c.Gates))
+	for i, e := range c.Equiv() {
+		betas[i] = e.BetaN
 	}
+	igate := make([]float64, len(c.Gates))
+	mosfet.Currents(c.Tech, 0, betas, false, igate)
 
 	totalPeak := 0.0
 	opts := cfg.Sim

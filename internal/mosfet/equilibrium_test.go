@@ -1,15 +1,28 @@
 package mosfet
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// eqResult is one Equilibrium solve with its currents in a fresh slice.
+type eqResult struct {
+	Vx, Itotal float64
+	I          []float64
+}
+
+func solve(t *Tech, r float64, betas []float64, body bool) eqResult {
+	res := eqResult{I: make([]float64, len(betas))}
+	res.Vx, res.Itotal = Equilibrium(t, r, betas, body, res.I)
+	return res
+}
+
 func TestEquilibriumIdealGround(t *testing.T) {
 	tech := Tech07()
-	res := Equilibrium(&tech, 0, []float64{4e-4, 2e-4}, true)
+	res := solve(&tech, 0, []float64{4e-4, 2e-4}, true)
 	if res.Vx != 0 {
 		t.Fatalf("ideal ground Vx = %g, want 0", res.Vx)
 	}
@@ -23,11 +36,11 @@ func TestEquilibriumIdealGround(t *testing.T) {
 
 func TestEquilibriumNoConduction(t *testing.T) {
 	tech := Tech07()
-	res := Equilibrium(&tech, 1e3, nil, true)
+	res := solve(&tech, 1e3, nil, true)
 	if res.Vx != 0 || res.Itotal != 0 {
 		t.Fatal("empty discharge set must give zero")
 	}
-	res = Equilibrium(&tech, 1e3, []float64{0, 0}, false)
+	res = solve(&tech, 1e3, []float64{0, 0}, false)
 	if res.Vx != 0 || res.Itotal != 0 {
 		t.Fatal("all-zero betas must give zero")
 	}
@@ -39,7 +52,7 @@ func TestEquilibriumKCL(t *testing.T) {
 	for _, body := range []bool{false, true} {
 		for _, r := range []float64{100, 1e3, 1e4, 1e5} {
 			betas := []float64{3e-4, 1e-4, 5e-4}
-			res := Equilibrium(&tech, r, betas, body)
+			res := solve(&tech, r, betas, body)
 			ir := res.Vx / r
 			if math.Abs(ir-res.Itotal) > 1e-6*math.Max(ir, res.Itotal)+1e-15 {
 				t.Errorf("body=%v r=%g: KCL violated: Vx/R=%g sumI=%g", body, r, ir, res.Itotal)
@@ -52,7 +65,7 @@ func TestEquilibriumKCLAlpha2Exact(t *testing.T) {
 	tech := Tech07()
 	tech.Alpha = 2
 	betas := []float64{2e-4, 2e-4, 2e-4}
-	res := Equilibrium(&tech, 2000, betas, false)
+	res := solve(&tech, 2000, betas, false)
 	// Analytic check against the quadratic.
 	v := tech.Vdd - tech.Vtn
 	lhs := res.Vx / 2000
@@ -77,8 +90,8 @@ func TestEquilibriumMonotonicity(t *testing.T) {
 		r2 := r1 * (1.1 + rng.Float64()*4)
 		body := seed%2 == 0
 
-		a := Equilibrium(&tech, r1, betas, body)
-		b := Equilibrium(&tech, r2, betas, body)
+		a := solve(&tech, r1, betas, body)
+		b := solve(&tech, r2, betas, body)
 		if a.Vx < 0 || a.Vx > tech.Vdd-tech.Vtn+1e-12 {
 			return false
 		}
@@ -90,7 +103,7 @@ func TestEquilibriumMonotonicity(t *testing.T) {
 		}
 		// Adding a gate raises Vx.
 		more := append(append([]float64(nil), betas...), 3e-4)
-		c := Equilibrium(&tech, r1, more, body)
+		c := solve(&tech, r1, more, body)
 		return c.Vx >= a.Vx-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -104,8 +117,8 @@ func TestEquilibriumBodyEffectRaisesBounceImpact(t *testing.T) {
 	tech := Tech07()
 	betas := []float64{4e-4, 4e-4, 4e-4, 4e-4}
 	r := 2e3
-	with := Equilibrium(&tech, r, betas, true)
-	without := Equilibrium(&tech, r, betas, false)
+	with := solve(&tech, r, betas, true)
+	without := solve(&tech, r, betas, false)
 	if with.I[0] >= without.I[0] {
 		t.Errorf("body effect must reduce discharge current: with=%g without=%g", with.I[0], without.I[0])
 	}
@@ -119,7 +132,7 @@ func TestEquilibriumManyGatesApproachSupplyLimit(t *testing.T) {
 	for i := range betas {
 		betas[i] = 1e-3
 	}
-	res := Equilibrium(&tech, 1e4, betas, false)
+	res := solve(&tech, 1e4, betas, false)
 	lim := tech.Vdd - tech.Vtn
 	if res.Vx >= lim || res.Vx < 0.9*lim {
 		t.Errorf("Vx = %g, want just below %g", res.Vx, lim)
@@ -130,7 +143,7 @@ func TestEquilibriumGeneralAlphaBisection(t *testing.T) {
 	tech := Tech07()
 	tech.Alpha = 1.4
 	betas := []float64{3e-4, 3e-4}
-	res := Equilibrium(&tech, 3e3, betas, false)
+	res := solve(&tech, 3e3, betas, false)
 	// KCL must hold for the alpha-power RHS too.
 	v := tech.Vdd - tech.Vtn
 	k := 0.5 * 6e-4 * math.Pow(tech.Vdd, 2-tech.Alpha)
@@ -139,4 +152,117 @@ func TestEquilibriumGeneralAlphaBisection(t *testing.T) {
 	if math.Abs(lhs-rhs)/rhs > 1e-6 {
 		t.Errorf("alpha=1.4 KCL: lhs=%g rhs=%g", lhs, rhs)
 	}
+}
+
+// betaBytes encodes a beta list as FuzzEquilibrium's raw input.
+func betaBytes(betas ...float64) []byte {
+	out := make([]byte, 8*len(betas))
+	for i, b := range betas {
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(b))
+	}
+	return out
+}
+
+// FuzzEquilibrium checks the Newton solve against a 200-step bisection
+// of g(Vx) on the same bracket [0, Vdd-Vtn], over sleep resistances
+// from 10 mOhm to 10 MOhm (or 0, ideal ground), 0-64 gates with betas
+// of 0 or 1e-12 to 1e-2 A/V^2, alpha in [1, 2], body effect on and off
+// and both technologies. Vx must agree to 1e-12 V, and KCL (Vx/R = sum
+// of the gate currents) must hold to 1e-9 relative. Out-of-range alphas
+// and betas are folded into range; testdata/fuzz keeps a case where a
+// Newton step below Vx's ulp once fell back to bisection.
+func FuzzEquilibrium(f *testing.F) {
+	// The cases of the tests above.
+	f.Add(false, true, 0.0, 1.8, betaBytes(4e-4, 2e-4))
+	f.Add(false, true, 1e3, 1.8, betaBytes())
+	f.Add(false, false, 1e3, 1.8, betaBytes(0, 0))
+	for _, r := range []float64{100, 1e3, 1e4, 1e5} {
+		f.Add(false, false, r, 1.8, betaBytes(3e-4, 1e-4, 5e-4))
+		f.Add(false, true, r, 1.8, betaBytes(3e-4, 1e-4, 5e-4))
+	}
+	f.Add(false, false, 2000.0, 2.0, betaBytes(2e-4, 2e-4, 2e-4))
+	f.Add(true, true, 700.0, 1.3, betaBytes(1e-4, 3e-4, 2e-4, 4e-4, 1.5e-4))
+	f.Add(false, true, 2e3, 1.8, betaBytes(4e-4, 4e-4, 4e-4, 4e-4))
+	f.Add(false, false, 2e3, 1.8, betaBytes(4e-4, 4e-4, 4e-4, 4e-4))
+	many := make([]float64, 64)
+	for i := range many {
+		many[i] = 1e-3
+	}
+	f.Add(false, false, 1e4, 1.8, betaBytes(many...))
+	f.Add(false, false, 3e3, 1.4, betaBytes(3e-4, 3e-4))
+
+	f.Fuzz(func(t *testing.T, tech03, body bool, r, alpha float64, raw []byte) {
+		if r != 0 && !(r >= 1e-2 && r <= 1e7) {
+			t.Skip("sleep resistance out of range")
+		}
+		if !(alpha >= 1 && alpha <= 2) {
+			alpha = 1 + math.Mod(math.Abs(alpha), 1) // NaN and Inf give NaN
+			if math.IsNaN(alpha) {
+				t.Skip("alpha is NaN")
+			}
+		}
+		var betas []float64
+		for i := 0; i+8 <= len(raw) && len(betas) < 64; i += 8 {
+			b := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(raw[i:])))
+			if b > 1e-2 {
+				b = math.Mod(b, 1e-2)
+			}
+			if math.IsNaN(b) {
+				t.Skip("beta is NaN")
+			}
+			if b < 1e-12 {
+				b = 0 // no device is this weak; keeps the currents normal floats
+			}
+			betas = append(betas, b)
+		}
+		tech := Tech07()
+		if tech03 {
+			tech = Tech03()
+		}
+		tech.Alpha = alpha
+
+		cur := make([]float64, len(betas))
+		vx, itot := Equilibrium(&tech, r, betas, body, cur)
+		btot, sum := 0.0, 0.0
+		for j, b := range betas {
+			btot += b
+			sum += cur[j]
+		}
+		if sum != itot {
+			t.Fatalf("currents sum to %g, total is %g", sum, itot)
+		}
+		if r == 0 || btot == 0 {
+			if vx != 0 {
+				t.Fatalf("r=%g btot=%g: Vx = %g, want 0", r, btot, vx)
+			}
+			return
+		}
+
+		k := 0.5 * btot * math.Pow(tech.Vdd, 2-alpha)
+		g := func(v float64) float64 {
+			vt := tech.Vtn
+			if body {
+				vt = tech.VtnBody(v)
+			}
+			if drive := tech.Vdd - v - vt; drive > 0 {
+				return v/r - k*math.Pow(drive, alpha)
+			}
+			return v / r
+		}
+		lo, hi := 0.0, tech.Vdd-tech.Vtn
+		for i := 0; i < 200; i++ {
+			mid := 0.5 * (lo + hi)
+			if g(mid) > 0 {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		if ref := 0.5 * (lo + hi); math.Abs(vx-ref) > 1e-12 {
+			t.Fatalf("Vx = %.17g, bisection %.17g (diff %.3g V)", vx, ref, vx-ref)
+		}
+		if ir := vx / r; math.Abs(ir-itot) > 1e-9*math.Max(ir, itot) {
+			t.Fatalf("KCL: Vx/R = %.17g, sum of currents %.17g", ir, itot)
+		}
+	})
 }
